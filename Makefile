@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-model test-sanitize lint lint-report baseline bench bench-report bench-batch bench-throughput bench-throughput-batched bench-latency bench-recovery bench-executors bench-history chaos coverage examples figure1 profile clean
+.PHONY: install test test-model test-sanitize lint lint-report baseline bench bench-report bench-batch bench-throughput bench-throughput-batched bench-latency bench-recovery bench-executors bench-e2e-smoke bench-history chaos coverage examples figure1 profile clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -103,6 +103,14 @@ bench-recovery:
 bench-executors:
 	mkdir -p benchmarks/results
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_executors.py -q --benchmark-disable
+
+# End-to-end facade benchmark (benchmarks/e2e), smoke form: every
+# workload at 1/20 length with the check that each BENCHMARK.json metric
+# is reported, then the benchmark's own tests (tier-1 does not collect
+# them).  The full run is python3 benchmarks/e2e/run.py.
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 
 # Merge every BENCH_*.json under benchmarks/results into the committed
 # bench trajectory (benchmarks/results/trajectory.json) with per-metric

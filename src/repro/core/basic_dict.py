@@ -24,7 +24,9 @@ I/O returns all fragments — satellite bandwidth ``O(B D / log N)`` per probe
 
 from __future__ import annotations
 
+import itertools
 import math
+from contextlib import nullcontext
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.interface import (
@@ -45,6 +47,10 @@ from repro.pdm.machine import AbstractDiskMachine
 from repro.pdm import InternalMemory, InternalMemoryExceeded
 from repro.pdm.spans import span
 from repro.pdm.striping import StripedItemBuckets
+
+
+#: largest key the kernels' 64-bit lanes carry (2**64 - 1 is the pad)
+_MAX_LANE_KEY = 0xFFFFFFFFFFFFFFFE
 
 
 def _split_value(value: Any, k: int) -> List[Any]:
@@ -80,33 +86,54 @@ def _join_fragments(fragments: Sequence[Any]) -> Any:
     return type(first)(out) if not isinstance(first, list) else out
 
 
+#: column-store generation stamps: a row handle held with a pool entry
+#: matches only the store generation (of one dictionary) that wrote it
+_next_store_token = itertools.count(1).__next__
+
+
+class _Run:
+    """A multi-block bucket as one unit of the key match: the
+    concatenated payload of its blocks and their joint version."""
+
+    __slots__ = ("payload", "version")
+
+    def __init__(self, blocks) -> None:
+        items: List[Any] = []
+        for blk in blocks:
+            if blk.payload:
+                items.extend(blk.payload)
+        self.payload = items
+        self.version = tuple(blk.version for blk in blocks)
+
+
 class _KeyColumnCache:
-    """Per-bucket key columns in a kernel column store, M-charged.
+    """Per-bucket key columns in a kernel column store, for the batch key
+    match (:meth:`~repro.kernels.base.Kernel.match_candidates`).
 
-    The kernel's :meth:`~repro.kernels.base.Kernel.match_candidates`
-    reads bucket key columns out of a backend-shaped store
-    (:meth:`~repro.kernels.base.Kernel.new_column_store`); writing every
-    column per batch would eat the win, so row handles are cached keyed
-    on the block's globally-unique
-    :attr:`~repro.pdm.block.Block.version` stamp — refreshed by every
-    ``store``/``clear``, and collision-free even when a Block object is
-    replaced wholesale.  The kernel batch path only runs with no fault
-    injector and no buffer pool attached, the two layers that mutate
-    payloads *behind* the version stamp.
+    Storing every column per batch would eat the win, so a column
+    outlives its batch where internal memory allows it honestly:
 
-    Honesty mirrors :class:`~repro.expanders.neighborhoods.
-    NeighborhoodMemo`: ``width + 1`` words charged to
-    :class:`~repro.pdm.memory.InternalMemory` per cached column (the
-    store rows are fixed-width), freeze (keep answering, stop caching)
-    when ``M`` is spoken for, wholesale deterministic reset at
-    ``max_entries`` cached columns *or* ``2 * max_entries`` store rows —
-    rows are write-once, so stale refreshes and frozen-mode writes leave
-    dead rows behind; the row bound caps that scratch.
+    * a **pool-resident** block's column is held with its pool entry
+      (:meth:`~repro.pdm.cache.BufferPool.hold_columns`): the slot's
+      ``B`` words are already charged, and the pool drops the column when
+      the entry's block is replaced or leaves the pool;
+    * with **neither pool nor fault injector**, columns are cached per
+      :attr:`~repro.pdm.block.Block.version` (sound: no layer changes a
+      payload behind it) and charged ``width + 1`` words each, freezing
+      like :class:`~repro.expanders.neighborhoods.NeighborhoodMemo` when
+      ``M`` is spoken for;
+    * every other column is batch scratch, uncharged like the fetched
+      blocks themselves.
+
+    Rows are write-once, so stale and scratch columns leave dead rows.
+    The store resets wholesale only at the start of a batch that might
+    not fit ``max_entries`` cached columns or ``2 * max_entries`` rows, so
+    every row handle of a batch indexes the store it was written to.
     """
 
     __slots__ = (
         "memory", "width", "max_entries",
-        "_store", "_backing", "_rows", "_charged", "_frozen",
+        "_store", "_backing", "_rows", "_charged", "_frozen", "_token",
     )
 
     def __init__(
@@ -119,71 +146,96 @@ class _KeyColumnCache:
         self.width = width
         self.max_entries = max_entries
         #: addr -> (block version, row handle)
-        self._store: Dict[Tuple[int, int], Tuple[int, int]] = {}  # detlint: guarded(owner-lane) -- memo + memory charge single-writer, like NeighborhoodMemo
+        self._store: Dict[Tuple[int, int], Tuple[Any, int]] = {}  # detlint: guarded(owner-lane) -- memo + memory charge single-writer, like NeighborhoodMemo
         self._backing: Any = None  # kernel column store, created lazily
         self._rows = 0
         self._charged = 0
         self._frozen = False
+        self._token = _next_store_token()
 
-    @property
-    def backing(self) -> Any:
-        """The kernel column store the cached row handles index into."""
-        return self._backing
+    def match(self, kernel, addrs, blocks, queries, inverse, *, pool, retain):
+        """:meth:`~repro.kernels.base.Kernel.match_candidates` of one
+        batch: ``blocks[u]`` is the plan's ``u``-th bucket (a
+        :class:`_Run` for a multi-block one) and ``addrs[u]`` names it.
 
-    def column(self, kernel, addr: Tuple[int, int], blk) -> int:
-        version = blk.version
-        entry = self._store.get(addr)
-        if entry is not None and entry[0] == version:
-            return entry[1]
+        Reuses the columns held with the pool entries (with a pool) or the
+        version-cached ones (without); the rest are stored with one
+        :meth:`~repro.kernels.base.Kernel.store_columns` call, then held
+        with their pool entry when resident, cached and charged when
+        ``retain``, scratch otherwise.
+        """
+        n = len(blocks)
         if (
-            self._rows >= 2 * self.max_entries
-            or len(self._store) >= self.max_entries
+            self._rows + n > 2 * self.max_entries
+            or len(self._store) + n > self.max_entries
+            or (pool is not None and self._store)
         ):
+            # The only reset point: no row handle of this batch exists
+            # yet.  A machine that gained a pool keeps its columns with
+            # the pool entries from now on, so its charged ones go too.
             self.reset()
-            entry = None
         if self._backing is None:
             self._backing = kernel.new_column_store(self.width)
-        row = kernel.store_column(self._backing, blk.payload)
-        self._rows += 1
-        if entry is not None:
+        token = self._token
+        if pool is not None:
+            rows = [
+                h[1] if h is not None and h[0] == token else -1
+                for h in pool.held_columns(addrs, blocks)
+            ]
+        else:
+            rows = [
+                e[1] if e is not None and e[0] == blk.version else -1
+                for e, blk in zip(map(self._store.get, addrs), blocks)
+            ]
+        todo = [i for i, row in enumerate(rows) if row < 0]
+        if todo:
+            new_rows = kernel.store_columns(
+                self._backing, [blocks[i].payload for i in todo]
+            )
+            self._rows += len(todo)
+            for i, row in zip(todo, new_rows):
+                rows[i] = row
+            if pool is not None:
+                todo = [
+                    todo[j]
+                    for j in pool.hold_columns(
+                        [addrs[i] for i in todo],
+                        [blocks[i] for i in todo],
+                        [(token, rows[i]) for i in todo],
+                    )
+                ]
+            for i in todo:
+                self._keep(addrs[i], blocks[i].version, rows[i], retain)
+        if not rows:
+            return []
+        return kernel.match_candidates(self._backing, rows, inverse, queries)
+
+    def _keep(self, addr, version, row: int, retain: bool) -> None:
+        """Cache (and charge) one non-resident column, or drop the stale
+        entry it replaces when the column is scratch."""
+        words = self.width + 1
+        if addr in self._store:
             # Stale version: release before (maybe) re-caching; the old
             # row stays dead in the store until the row-bound reset.
             del self._store[addr]
-            words = self.width + 1
             self._charged -= words
             if self.memory is not None:
                 self.memory.release(words)
-        if self._frozen:
-            return row
-        words = self.width + 1
+        if not retain or self._frozen:
+            return
         if self.memory is not None:
             try:
                 self.memory.charge(words)
             except InternalMemoryExceeded:
                 self._frozen = True
-                return row
+                return
         self._charged += words
         self._store[addr] = (version, row)
-        return row
-
-    def columns(self, kernel, addrs, blocks) -> List[int]:
-        """:meth:`column` over a whole planned read, hit path inlined —
-        one bound-method call per batch instead of one per bucket."""
-        get = self._store.get
-        column = self.column
-        out: List[int] = []
-        append = out.append
-        for addr, blk in zip(addrs, blocks):
-            entry = get(addr)
-            if entry is not None and entry[0] == blk.version:
-                append(entry[1])
-            else:
-                append(column(kernel, addr, blk))
-        return out
 
     def reset(self) -> None:
         """Deterministic wholesale reset; releases every charged word and
-        drops the backing store (recreated on next use)."""
+        drops the backing store (recreated on next use) — and with it
+        every row handle held with a pool entry."""
         self._store.clear()
         self._backing = None
         self._rows = 0
@@ -191,9 +243,7 @@ class _KeyColumnCache:
             self.memory.release(self._charged)
         self._charged = 0
         self._frozen = False
-
-    def __len__(self) -> int:
-        return len(self._store)
+        self._token = _next_store_token()
 
 
 class BasicDictionary(Dictionary):
@@ -256,11 +306,20 @@ class BasicDictionary(Dictionary):
         # Hot-path neighborhood evaluation, memoized into internal memory
         # (the model grants M words; repeated Γ(key) evaluations are free).
         self._neighborhoods = NeighborhoodMemo(graph, memory=machine.memory)
-        #: batch kernel for the vectorized fast path (``None`` after
-        #: ``kernel="off"`` or ``REPRO_KERNEL=off`` — scalar everywhere);
-        #: swapping backends never changes an answer or a charge (the
-        #: tests/kernels differential suite pins this).
+        #: batch kernel (``None`` after ``kernel="off"`` or
+        #: ``REPRO_KERNEL=off``: the batch mutations evaluate
+        #: neighborhoods per key); swapping backends never changes an
+        #: answer or a charge (the tests/kernels differential suite pins
+        #: this).
         self._kernel = resolve_kernel(kernel)
+        #: the backend of the batch lookup pipeline: the reference kernel
+        #: when batch kernels are off or keys may not fit the 64-bit lanes
+        #: (the column stores pad rows with 2**64 - 1)
+        self._batch_kernel = (
+            self._kernel
+            if self._kernel is not None and universe_size <= _MAX_LANE_KEY + 1
+            else resolve_kernel("python")
+        )
         self.buckets = StripedItemBuckets(
             machine,
             stripes=degree,
@@ -369,9 +428,6 @@ class BasicDictionary(Dictionary):
             out[key] = result
         return out, cost
 
-    def _annotate_packing(self, m, all_locs, store) -> None:
-        annotate_round_packing(m, self.machine, store, all_locs.values())
-
     def batch_lookup(self, keys):
         """Answer many lookups in one round-packed probe.
 
@@ -383,151 +439,72 @@ class BasicDictionary(Dictionary):
         carry the whole batch's cost; undecidable keys under faults become
         per-key :class:`DegradedLookupError` values (PR 3 semantics — the
         batch itself never fails wholesale).
+
+        One pipeline serves every configuration: flat neighborhoods, the
+        kernel probe plan (a multi-block bucket is a run of consecutive
+        blocks), one planned read (the pool's cache filter, then the
+        charged fetch of the misses), the kernel key match (a failed
+        bucket is an empty column), and :meth:`_settle_degraded` for just
+        the keys that lost a candidate.  ``kernel="off"`` and keys wider
+        than 64 bits run it on the reference kernel.
         """
         keys = list(keys)
         for key in keys:
             self._check_key(key)
-        kernel = self._kernel
-        if (
-            kernel is not None
-            and self.machine.faults is None
-            and self.machine.cache is None
-            and self.buckets.blocks_per_bucket == 1
-            and self.universe_size <= 0xFFFFFFFFFFFFFFFF
-        ):
-            # Vectorized fast path: flat neighborhoods, kernel probe plan,
-            # aligned planned read, batch key matching.  Bit-identical
-            # charges and answers (differential suite); excluded whenever a
-            # layer that can mutate payloads behind the version stamps —
-            # fault injector, buffer pool — is attached, buckets span
-            # several blocks (the plan covers single-block buckets), or
-            # keys might not fit the kernels' 64-bit lanes (the column
-            # stores pad rows with 2**64 - 1).
-            return self._batch_lookup_kernel(keys, kernel)
-        with span(
-            self.machine,
-            "basic_dict.batch_lookup",
-            op="batch_lookup",
-            structure="basic_dict",
-            blocks_per_bucket=self.buckets.blocks_per_bucket,
-            batch_size=len(keys),
-        ) as m:
-            # Under faults (or any other exclusion) the reads stay on the
-            # scalar path, but the neighborhoods still batch: same values,
-            # same memo effects, one kernel evaluation for the misses.
-            all_locs = self._neighborhoods.batch_striped(
-                list(dict.fromkeys(keys)), kernel=kernel
-            )
-            wanted = list(
-                dict.fromkeys(loc for locs in all_locs.values() for loc in locs)
-            )
-            if self.machine.faults is None:
-                contents = self.buckets.read_buckets(wanted)
-                failures: Dict[Tuple[int, int], Any] = {}
-            else:
-                contents, failures = self.buckets.read_buckets_degraded(wanted)
-                if failures and m.span is not None:
-                    m.annotate(degraded=True, failed_buckets=len(failures))
-            if m.span is not None:
-                m.annotate(distinct_keys=len(all_locs), buckets_read=len(wanted))
-            self._annotate_packing(m, all_locs, self.buckets)
-        out: Dict[int, Any] = {}
-        for key, locs in all_locs.items():
-            fragments = [
-                (t, frag)
-                for loc in locs
-                if loc not in failures
-                for (k2, t, frag) in contents[loc]
-                if k2 == key
-            ]
-            if failures and any(loc in failures for loc in locs):
-                try:
-                    # Same soundness rule as the single-key path, applied
-                    # per key: a complete fragment set from the surviving
-                    # choices stays a sound positive answer.
-                    self._settle_degraded(
-                        key,
-                        fragments,
-                        {l: failures[l] for l in locs if l in failures},
-                    )
-                except DegradedLookupError as exc:
-                    out[key] = exc
-                    continue
-            if fragments:
-                fragments.sort()
-                value = _join_fragments([f for _, f in fragments])
-                out[key] = LookupResult(True, value, m.cost)
-            else:
-                out[key] = LookupResult(False, None, m.cost)
-        return out, m.cost
-
-    def _batch_lookup_kernel(self, keys, kernel):
-        """The vectorized :meth:`batch_lookup` body (healthy, uncached,
-        one-probe).  Stage by stage, with its scalar equivalent:
-
-        1. flat neighborhoods (``NeighborhoodMemo.batch_local_indices`` ==
-           per-key ``striped()``, including memo charges and counters);
-        2. kernel probe plan (``plan_unique_probe`` == the per-loc
-           ``dict.fromkeys`` dedup + ``_batch_rounds`` per-disk tally);
-        3. one aligned planned read (``read_planned_blocks`` == the
-           ``read_blocks`` fast path: same rounds, same blocks_read);
-        4. batch key matching of each key against its own candidate rows
-           in the version-cached column store (``match_candidates`` ==
-           the per-key fragment scan).
-        """
         machine = self.machine
         buckets = self.buckets
+        kernel = self._batch_kernel
         d = self.graph.degree
+        b = buckets.blocks_per_bucket
         with span(
             machine,
             "basic_dict.batch_lookup",
             op="batch_lookup",
             structure="basic_dict",
-            blocks_per_bucket=buckets.blocks_per_bucket,
+            blocks_per_bucket=b,
             batch_size=len(keys),
         ) as m:
             distinct = list(dict.fromkeys(keys))
             instrumented = m.span is not None
-            if instrumented:
+
+            def stage(name):
                 # The kernel stages surface as their own latency layer
                 # ("kernel" in repro.obs); uninstrumented runs skip even
                 # the span() no-op calls.
-                with span(machine, "kernel.neighborhoods", backend=kernel.name):
-                    flat = self._neighborhoods.batch_local_indices(
-                        distinct, kernel=kernel
-                    )
-                with span(machine, "kernel.plan", backend=kernel.name):
-                    unique, max_per_disk, inverse = buckets.probe_plan(
-                        flat, kernel
-                    )
-            else:
+                if instrumented:
+                    return span(machine, name, backend=kernel.name)
+                return nullcontext()
+
+            with stage("kernel.neighborhoods"):
                 flat = self._neighborhoods.batch_local_indices(
                     distinct, kernel=kernel
                 )
+            with stage("kernel.plan"):
                 unique, max_per_disk, inverse = buckets.probe_plan(
                     flat, kernel
                 )
-            rounds = machine.rounds_for_counts(len(unique), max_per_disk)
-            blocks = machine.read_planned_blocks(unique, rounds)
-            columns_cache = self._columns
-            if instrumented:
-                with span(machine, "kernel.match", backend=kernel.name):
-                    rows = columns_cache.columns(kernel, unique, blocks)
-                    matches = (
-                        kernel.match_candidates(
-                            columns_cache.backing, rows, inverse, distinct
-                        )
-                        if rows
-                        else []
-                    )
-            else:
-                rows = columns_cache.columns(kernel, unique, blocks)
-                matches = (
-                    kernel.match_candidates(
-                        columns_cache.backing, rows, inverse, distinct
-                    )
-                    if rows
-                    else []
+            addrs = buckets.block_runs(unique)
+            blocks, failures = machine.read_planned_blocks(
+                addrs, machine.rounds_for_counts(len(addrs), max_per_disk * b)
+            )
+            # A partly read bucket could hide an item, so it fails whole,
+            # with the fault of its first unreadable block.
+            failed: Dict[int, Any] = {}
+            for u in range(len(unique)) if failures else ():
+                for addr in addrs[u * b : (u + 1) * b]:
+                    if addr in failures:
+                        failed[u] = failures[addr]
+                        break
+            if b != 1:
+                blocks = [
+                    _Run(() if u in failed else blocks[u * b : (u + 1) * b])
+                    for u in range(len(unique))
+                ]
+            with stage("kernel.match"):
+                matches = self._columns.match(
+                    kernel, unique, blocks, distinct, inverse,
+                    pool=machine.cache if b == 1 else None,
+                    retain=machine.cache is None and machine.faults is None,
                 )
             per_key: List[Optional[List[Tuple[int, Any]]]] = (
                 [None] * len(distinct)
@@ -539,6 +516,8 @@ class BasicDictionary(Dictionary):
                     per_key[qi] = frags = []
                 frags.append((item[1], item[2]))
             if instrumented:
+                if failed:
+                    m.annotate(degraded=True, failed_buckets=len(failed))
                 m.annotate(
                     distinct_keys=len(distinct), buckets_read=len(unique)
                 )
@@ -553,8 +532,24 @@ class BasicDictionary(Dictionary):
                 )
         out: Dict[int, Any] = {}
         cost = m.cost
+        candidates = list(map(int, inverse)) if failed else None
         for qi, key in enumerate(distinct):
             frags = per_key[qi]
+            if failed:
+                lost = {
+                    buckets.loc_of(unique[ci]): failed[ci]
+                    for ci in candidates[qi * d : (qi + 1) * d]
+                    if ci in failed
+                }
+                if lost:
+                    try:
+                        # Same soundness rule as the single-key path: a
+                        # complete fragment set from the surviving choices
+                        # stays a sound positive answer.
+                        self._settle_degraded(key, frags or [], lost)
+                    except DegradedLookupError as exc:
+                        out[key] = exc
+                        continue
             if frags:
                 frags.sort()
                 out[key] = LookupResult(
@@ -602,7 +597,9 @@ class BasicDictionary(Dictionary):
                 contents, failures = self.buckets.read_buckets_degraded(wanted)
                 if failures and m.span is not None:
                     m.annotate(degraded=True, failed_buckets=len(failures))
-            self._annotate_packing(m, all_locs, self.buckets)
+            annotate_round_packing(
+                m, self.machine, self.buckets, all_locs.values()
+            )
 
             out: Dict[int, Any] = {}
             staged = dict(contents)
@@ -727,7 +724,9 @@ class BasicDictionary(Dictionary):
                 contents, failures = self.buckets.read_buckets_degraded(wanted)
                 if failures and m.span is not None:
                     m.annotate(degraded=True, failed_buckets=len(failures))
-            self._annotate_packing(m, all_locs, self.buckets)
+            annotate_round_packing(
+                m, self.machine, self.buckets, all_locs.values()
+            )
 
             out: Dict[int, Any] = {}
             staged = dict(contents)

@@ -15,9 +15,9 @@ Backends are selected like the executor registry
 reference and :class:`~repro.kernels.numpy_backend.NumpyKernel` loaded
 lazily when numpy is importable.  The default is resolved per call from
 the ``REPRO_KERNEL`` environment variable (``python`` / ``numpy`` /
-``off``) and auto-picks numpy when unset; ``off`` disables the batch
-fast paths entirely, which is how the differential suites pin the
-scalar behavior.
+``off``) and auto-picks numpy when unset.  ``off`` keeps the batch
+mutations on per-key neighborhood evaluation; batch lookups then run on
+the reference kernel.
 
 This package sits beside :mod:`repro.bits` at the bottom of the layer
 graph (arch-base): it may be imported from any layer and itself imports

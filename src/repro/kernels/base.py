@@ -126,6 +126,11 @@ class Kernel:
         the handle for as long as the payload is unchanged."""
         raise NotImplementedError
 
+    def store_columns(self, store: Any, payloads: Sequence[Any]) -> range:
+        """:meth:`store_column` for a whole batch of bucket payloads in one
+        call; returns their row handles, which are consecutive."""
+        raise NotImplementedError
+
     def match_candidates(
         self,
         store: Any,
@@ -257,9 +262,13 @@ class PythonKernel(Kernel):
         return _PyColumnStore(width)
 
     def store_column(self, store: Any, payload: Any) -> int:
-        row = len(store.payloads)
-        store.payloads.append(payload if payload else ())
-        return row
+        return self.store_columns(store, [payload])[0]
+
+    def store_columns(self, store: Any, payloads: Sequence[Any]) -> range:
+        rows = store.payloads
+        start = len(rows)
+        rows.extend(p if p else () for p in payloads)
+        return range(start, len(rows))
 
     def match_candidates(
         self,

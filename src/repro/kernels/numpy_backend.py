@@ -18,6 +18,8 @@ beyond 64 bits reject conversion, and those take the loop).
 from __future__ import annotations
 
 from array import array
+from itertools import chain
+from operator import itemgetter
 from typing import Any, List, Sequence, Tuple
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.kernels.base import Addr, Kernel, PythonKernel
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
+_first = itemgetter(0)  # an item's key
 
 #: Pad value for column-store rows.  Never equal to a stored or queried
 #: key: the batch fast path requires keys ≤ 2**64 - 2 (the dictionary
@@ -52,13 +55,14 @@ def splitmix64_array(z: "np.ndarray") -> "np.ndarray":
 
 class _MatrixColumnStore:
     """Sentinel-padded fixed-width key matrix; one row per stored bucket
-    column, grown geometrically, rows write-once."""
+    column, grown geometrically, rows write-once (and written whole, so
+    rows not yet stored are never read and need no padding)."""
 
     __slots__ = ("width", "matrix", "rows")
 
     def __init__(self, width: int) -> None:
         self.width = max(width, 1)
-        self.matrix = np.full((256, self.width), _SENTINEL, dtype=np.uint64)
+        self.matrix = np.empty((256, self.width), dtype=np.uint64)
         self.rows = 0
 
 
@@ -188,22 +192,33 @@ class NumpyKernel(Kernel):
         return _MatrixColumnStore(width)
 
     def store_column(self, store: Any, payload: Any) -> int:
-        row = store.rows
+        return self.store_columns(store, [payload])[0]
+
+    def store_columns(self, store: Any, payloads: Sequence[Any]) -> range:
+        start = store.rows
+        end = start + len(payloads)
         matrix = store.matrix
-        if row == matrix.shape[0]:
-            grown = np.full(
-                (matrix.shape[0] * 2, store.width), _SENTINEL,
-                dtype=np.uint64,
-            )
-            grown[:row] = matrix
+        if end > matrix.shape[0]:
+            size = matrix.shape[0]
+            while size < end:
+                size *= 2
+            grown = np.empty((size, store.width), dtype=np.uint64)
+            grown[:start] = matrix[:start]
             store.matrix = matrix = grown
-        n = len(payload) if payload else 0
-        if n:
-            matrix[row, :n] = np.fromiter(
-                (item[0] for item in payload), dtype=np.uint64, count=n
+        payloads = [p or () for p in payloads]
+        lens = np.fromiter(map(len, payloads), dtype=np.int64, count=end - start)
+        rows = np.full((end - start, store.width), _SENTINEL, dtype=np.uint64)
+        total = int(lens.sum())
+        if total:
+            # Row-major boolean fill: row i takes its lens[i] keys, left
+            # aligned, the rest of the row keeps the sentinel pad.
+            rows[np.arange(store.width)[None, :] < lens[:, None]] = np.fromiter(
+                map(_first, chain.from_iterable(payloads)),
+                dtype=np.uint64, count=total,
             )
-        store.rows = row + 1
-        return row
+        matrix[start:end] = rows
+        store.rows = end
+        return range(start, end)
 
     def match_candidates(
         self,

@@ -116,9 +116,9 @@ def extract_throughput(payload: Dict[str, Any]) -> Dict[str, float]:
     batched = payload.get("batched", {})
     for key in (
         "ops_per_sec",
-        "scalar_ops_per_sec",
+        "reference_ops_per_sec",
         "speedup_vs_sequential",
-        "speedup_vs_scalar_batched",
+        "speedup_vs_reference_batched",
         "rounds_per_op",
     ):
         if batched.get(key) is not None:

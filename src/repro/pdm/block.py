@@ -13,7 +13,7 @@ fingerprint of its payload (:func:`payload_fingerprint`, built on
 platforms).  Checksums are maintained by the machine when its ``checksums``
 flag is on: every :meth:`Block.seal` after a write records the fingerprint,
 and verify-on-read (:meth:`Block.verify`) turns *silent* corruption — a
-payload mutated behind the accountant's back by the fault layer — into a
+payload the fault layer scrambled behind the accountant's back — into a
 typed :class:`~repro.pdm.errors.BlockCorruption`.
 """
 
@@ -80,11 +80,13 @@ class Block:
         #: when the block has never been written with checksums enabled.
         self.checksum: Optional[int] = None
         #: globally-unique content stamp, refreshed by every :meth:`store`
-        #: / :meth:`clear`.  Derived caches (the batch kernels' key
-        #: columns) key on it: an unchanged version proves the payload was
-        #: not replaced through the write API.  It deliberately does NOT
-        #: cover in-place mutation behind the API (fault corruption, the
-        #: buffer pool's refresh) — consumers must not cache across those.
+        #: / :meth:`clear`.  Derived caches (the batch lookup's key
+        #: columns) key on it: an unchanged version proves an unchanged
+        #: payload.  Disk writes store in place through this API, which
+        #: refreshes the stamp; nothing else touches a block it has handed
+        #: out — fault corruption stores a scrambled *copy* in the block's
+        #: place, and the buffer pool's ``fill``/``put``/``refresh`` always
+        #: install a new ``Block`` (pinned by ``tests/pdm/test_cache.py``).
         self.version: int = _next_version()
 
     @property

@@ -50,7 +50,7 @@ block — reads still work, they just stay charged.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.pdm.block import Block
@@ -108,14 +108,16 @@ class CacheStats:
 
 
 class _Entry:
-    """One cached block: the pool-owned copy plus its bookkeeping bits."""
+    """One cached block: the pool-owned copy plus its bookkeeping bits and
+    the derived value held with it (:meth:`BufferPool.hold_columns`)."""
 
-    __slots__ = ("block", "dirty", "pinned")
+    __slots__ = ("block", "dirty", "pinned", "column")
 
     def __init__(self, block: Block, dirty: bool = False) -> None:
         self.block = block
         self.dirty = dirty
         self.pinned = False
+        self.column = None
 
 
 class BufferPool:
@@ -189,18 +191,21 @@ class BufferPool:
     # -- the read side -------------------------------------------------------
 
     def get(self, addr: Addr) -> Optional[Block]:
-        """Serve a hit (bumping LRU) or return ``None`` on a miss.
+        """Serve a hit (bumping LRU) or return ``None`` on a miss."""
+        return self.get_many([addr])[0]
 
-        Hit/miss counters are maintained here; the machine's read paths
-        call this exactly once per requested address.
-        """
-        entry = self._entries.get(addr)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self._entries.move_to_end(addr)
-        return entry.block
+    def get_many(self, addrs: List[Addr]) -> List[Optional[Block]]:
+        """The cache filter of a batch read, in order: the pool block of
+        every hit (bumping LRU) and ``None`` for every miss.  The machine's
+        read path asks once per requested address, which is what the
+        hit/miss counters count."""
+        entries = self._entries
+        found = list(map(entries.get, addrs))
+        hits = [addr for addr, entry in zip(addrs, found) if entry is not None]
+        deque(map(entries.move_to_end, hits), maxlen=0)  # bumps, in order
+        self.stats.hits += len(hits)
+        self.stats.misses += len(found) - len(hits)
+        return [None if entry is None else entry.block for entry in found]
 
     def peek(self, addr: Addr) -> Optional[Block]:
         """Like :meth:`get` but free: no LRU bump, no counters.  Used by
@@ -222,6 +227,7 @@ class BufferPool:
         if entry is not None:  # refresh (e.g. re-fetch after invalidation)
             entry.block = self._copy(source)
             entry.dirty = False
+            entry.column = None
             self._entries.move_to_end(addr)
             return entry.block
         if not self._make_room(machine):
@@ -247,6 +253,7 @@ class BufferPool:
         if entry is not None:
             entry.block = block
             entry.dirty = True
+            entry.column = None
             self._entries.move_to_end(addr)
             self.stats.absorbed_writes += 1
             return True
@@ -268,6 +275,36 @@ class BufferPool:
         block.store(payload, used_bits)
         entry.block = block
         entry.dirty = False
+        entry.column = None
+
+    # -- values derived from resident blocks --------------------------------
+
+    def held_columns(self, addrs: List[Addr], blocks: List[Block]) -> List:
+        """The value :meth:`hold_columns` left with each address's entry,
+        or ``None`` where the entry is gone or now holds another block
+        than the one given.  No LRU bump, no counters."""
+        return [
+            entry.column if entry is not None and entry.block is blk else None
+            for entry, blk in zip(map(self._entries.get, addrs), blocks)
+        ]
+
+    def hold_columns(
+        self, addrs: List[Addr], blocks: List[Block], columns: List
+    ) -> List[int]:
+        """Keep a value derived from each resident block (the batch
+        lookup's key column) with its entry, at no memory charge beyond
+        the slot's.  It goes when the entry's block is replaced or leaves
+        the pool.  Returns the positions whose block the pool does not
+        hold."""
+        lookup = self._entries.get
+        missed = []
+        for i, (addr, blk, column) in enumerate(zip(addrs, blocks, columns)):
+            entry = lookup(addr)
+            if entry is not None and entry.block is blk:
+                entry.column = column
+            else:
+                missed.append(i)
+        return missed
 
     # -- pinning -------------------------------------------------------------
 

@@ -503,69 +503,57 @@ class AbstractDiskMachine:
         (first failing address in batch order).  Callers prepared to recover
         use :meth:`read_blocks_degraded` instead.
         """
-        cache = self.cache
-        if (
-            cache is None
-            and self.faults is None
-            and self.tracer is None
-            and not self.checksums
-            and self.executor.inline
-        ):
-            # Fast path: nothing attached and the physical store is the
-            # logical store, so skip the retry/fault/fill machinery
-            # entirely.  Same charges as the general path — rounds for
-            # the deduped set, one blocks_read per block.
-            unique = dict.fromkeys(map(tuple, addrs))
-            if not unique:
-                return {}
-            blocks: Dict[Addr, Block] = {}
-            disks = self.disks
-            num_disks = self.num_disks
-            void = self._void_block
-            for addr in unique:
-                disk_id = addr[0]
-                if not 0 <= disk_id < num_disks or addr[1] < 0:
-                    self._check_addr(addr)
-                blk = disks[disk_id]._blocks.get(addr[1])
-                blocks[addr] = void if blk is None else blk
-            self.stats.read_ios += self._batch_rounds(list(unique))
-            self.stats.blocks_read += len(unique)
-            return blocks
-        unique = list(dict.fromkeys(tuple(a) for a in addrs))
-        if not unique:
-            return {}
-        for addr in unique:
-            self._check_addr(addr)
-        if cache is not None:
-            blocks, failures = self._read_cached(unique)
-        else:
-            blocks, failures = self._read_batch(unique)
+        unique = list(dict.fromkeys(map(tuple, addrs)))
+        blocks, failures = self.read_planned_blocks(unique)
         if failures:
             for addr in unique:
                 fault = failures.get(addr)
                 if fault is not None:
                     raise fault
-        return blocks
+        return dict(zip(unique, blocks))
+
+    def read_blocks_degraded(
+        self, addrs: Iterable[Addr]
+    ) -> Tuple[Dict[Addr, Block], Dict[Addr, "IOFault"]]:
+        """Fault-tolerant batch read: never raises for injected faults.
+
+        Returns ``(blocks, failures)`` — every requested address appears in
+        exactly one of the two maps.  Transients are retried exactly as in
+        :meth:`read_blocks`; what remains in ``failures`` is what recovery
+        logic (majority decode, choice fallback, read-repair) must absorb.
+        """
+        unique = list(dict.fromkeys(map(tuple, addrs)))
+        blocks, failures = self.read_planned_blocks(unique)
+        return {
+            addr: blk
+            for addr, blk in zip(unique, blocks)
+            if addr not in failures
+        }, failures
 
     def read_planned_blocks(
-        self, unique: Sequence[Addr], rounds: int
-    ) -> List[Block]:
-        """Charged batch read of an *already planned* fetch.
+        self, unique: Sequence[Addr], rounds: Optional[int] = None
+    ) -> Tuple[List[Block], Dict[Addr, "IOFault"]]:
+        """The machine's one batch read: cache filter, then charged fetch.
 
-        ``unique`` must be deduplicated and ``rounds`` must equal
-        ``_batch_rounds(unique)`` — callers get both from the kernels'
-        :meth:`~repro.kernels.base.Kernel.plan_unique_probe` plus
-        :meth:`rounds_for_counts` (the differential suite pins the
-        equality).  Returns blocks aligned with ``unique`` — no dict
-        build, no payload copies.  Charges are identical to
-        :meth:`read_blocks` on the same set; with anything attached
-        (cache, faults, tracer, checksums, non-inline executor) it simply
-        funnels through :meth:`read_blocks`, recomputing the charge there.
+        ``unique`` must be deduplicated; ``rounds``, when given, must equal
+        ``_batch_rounds(unique)`` (batch callers price the plan with
+        :meth:`rounds_for_counts`).  Returns the blocks aligned with
+        ``unique`` and the failure map of the addresses still unreadable
+        after retries, which hold the empty void block in the list.
+
+        A buffer pool serves its hits first, in plan order.  Under a fault
+        injector, corruption due this round lands before that, and a hit
+        on a disk that is not ``"ok"`` now is dropped and re-requested: a
+        cached copy never masks an outage or a transient window.  The
+        misses go through :meth:`_read_batch` (rounds, faults, retries,
+        checksums, the executor) and fill the pool.  With nothing attached
+        the logical store is read directly, at the same charges.
         """
         if not unique:
-            return []
+            return [], {}
+        cache = self.cache
         if (
-            self.cache is None
+            cache is None
             and self.faults is None
             and self.tracer is None
             and not self.checksums
@@ -582,80 +570,41 @@ class AbstractDiskMachine:
                     self._check_addr(addr)
                 blk = disks[disk_id]._blocks.get(addr[1])
                 append(void if blk is None else blk)
-            self.stats.read_ios += rounds
+            self.stats.read_ios += (
+                self._batch_rounds(unique) if rounds is None else rounds
+            )
             self.stats.blocks_read += len(unique)
-            return out
-        fetched = self.read_blocks(unique)
-        return [fetched[addr] for addr in unique]
-
-    def read_blocks_degraded(
-        self, addrs: Iterable[Addr]
-    ) -> Tuple[Dict[Addr, Block], Dict[Addr, "IOFault"]]:
-        """Fault-tolerant batch read: never raises for injected faults.
-
-        Returns ``(blocks, failures)`` — every requested address appears in
-        exactly one of the two maps.  Transients are retried exactly as in
-        :meth:`read_blocks`; what remains in ``failures`` is what recovery
-        logic (majority decode, choice fallback, read-repair) must absorb.
-        """
-        unique = list(dict.fromkeys(tuple(a) for a in addrs))
-        if not unique:
-            return {}, {}
+            return out, {}
+        num_disks = self.num_disks
         for addr in unique:
-            self._check_addr(addr)
-        if self.cache is not None:
-            return self._read_cached(unique)
-        return self._read_batch(unique)
-
-    def _read_cached(
-        self, unique: List[Addr]
-    ) -> Tuple[Dict[Addr, Block], Dict[Addr, "IOFault"]]:
-        """Cache-aware batch read: hits are served from the pool for free,
-        misses go through the ordinary charged path and fill the pool.
-
-        Fault parity with the uncached machine: corruption due at this
-        round lands (and invalidates cached copies) *before* hits are
-        served, and a hit on a disk that is not ``"ok"`` right now is
-        discarded and re-requested through the charged fault machinery —
-        a cached copy must never mask an outage or a transient window.
-        """
-        cache = self.cache
+            if not 0 <= addr[0] < num_disks or addr[1] < 0:
+                self._check_addr(addr)
+        void = self._void_block
+        if cache is None:
+            fetched, failures = self._read_batch(unique)
+            get = fetched.get
+            return [get(addr, void) for addr in unique], failures
         faults = self.faults
-        hits: Dict[Addr, Block] = {}
-        misses: List[Addr] = []
-        if faults is None:
-            for addr in unique:
-                blk = cache.get(addr)
-                if blk is None:
-                    misses.append(addr)
-                else:
-                    hits[addr] = blk
-        else:
+        if faults is not None:
             clock = self.stats.total_ios
             faults.apply_due_corruption(clock, self)
             disks = self.disks
             for addr in unique:
                 if disks[addr[0]].status_at(clock) != "ok":
-                    cache.invalidate(addr)
-                    cache.stats.misses += 1
-                    misses.append(addr)
-                    continue
-                blk = cache.get(addr)
-                if blk is None:
-                    misses.append(addr)
-                else:
-                    hits[addr] = blk
+                    cache.invalidate(addr)  # the filter below counts a miss
+        blocks = cache.get_many(unique)
+        misses = [i for i, blk in enumerate(blocks) if blk is None]
         if not misses:
-            return hits, {}
-        blocks, failures = self._read_batch(misses)
-        void = self._void_block
-        for addr in misses:
-            blk = blocks.get(addr)
-            if blk is not None and blk is not void:
-                # Install the fetched block; callers get the pool-owned
-                # copy so later in-place disk corruption can't reach them.
-                blocks[addr] = cache.fill(addr, blk, self)
-        blocks.update(hits)
+            return blocks, {}
+        fetched, failures = self._read_batch([unique[i] for i in misses])
+        fill = cache.fill
+        for i in misses:
+            addr = unique[i]
+            blk = fetched.get(addr)
+            if blk is None or blk is void:
+                blocks[i] = void
+            else:
+                blocks[i] = fill(addr, blk, self)
         return blocks, failures
 
     def _read_batch(

@@ -335,26 +335,34 @@ class StripedItemBuckets:
         ]
 
     def probe_plan(self, locals_flat: Sequence[int], kernel):
-        """Kernel probe plan over flat per-stripe bucket indices.
-
-        ``locals_flat`` holds ``stripes`` local indices per key (the
-        ``NeighborhoodMemo`` flat layout); single-block buckets only
-        (``blocks_per_bucket == 1``, the one-probe layout — multi-block
-        buckets take the scalar path).  Returns ``(unique_addrs,
+        """Kernel probe plan over flat per-stripe bucket indices (the
+        ``NeighborhoodMemo`` layout), at bucket granularity: ``(unique,
         max_per_disk, inverse)`` from :meth:`repro.kernels.base.Kernel.
-        plan_unique_probe`; the dedup order equals the scalar
-        ``dict.fromkeys`` order over the same probe sequence, and
-        ``inverse`` (backend-shaped) maps each flat position back to its
-        unique index for the kernel's candidate matching.
+        plan_unique_probe`, where ``unique`` holds the first block of each
+        distinct bucket in the scalar ``dict.fromkeys`` order and
+        :meth:`block_runs` expands it into the blocks to fetch.
         """
-        if self.blocks_per_bucket != 1:
-            raise ValueError(
-                "probe_plan covers single-block buckets only "
-                f"(blocks_per_bucket={self.blocks_per_bucket})"
-            )
+        b = self.blocks_per_bucket
+        if b != 1:
+            locals_flat = [local * b for local in locals_flat]
         return kernel.plan_unique_probe(
             locals_flat, self.stripes, self._base, self.disk_offset
         )
+
+    def block_runs(self, firsts: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+        """Every block of the buckets whose first blocks are ``firsts``:
+        one run of ``blocks_per_bucket`` consecutive blocks per bucket, in
+        order (the address order of :meth:`read_buckets`)."""
+        b = self.blocks_per_bucket
+        if b == 1:
+            return firsts
+        return [(disk, first + t) for disk, first in firsts for t in range(b)]
+
+    def loc_of(self, first: Tuple[int, int]) -> FieldLoc:
+        """The ``(stripe, index)`` location of the bucket starting at block
+        address ``first`` (inverse of the layout's address arithmetic)."""
+        stripe = first[0] - self.disk_offset
+        return (stripe, (first[1] - self._base[stripe]) // self.blocks_per_bucket)
 
     def read_buckets(self, locs: Iterable[FieldLoc]) -> Dict[FieldLoc, List[Any]]:
         """Fetch bucket contents as item lists (empty list if untouched).

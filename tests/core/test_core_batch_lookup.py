@@ -5,6 +5,9 @@ import random
 import pytest
 
 from repro.core.basic_dict import BasicDictionary
+from repro.core.interface import DegradedLookupError
+from repro.faults.plan import FaultPlan
+from repro.pdm.faults import attach_faults
 from repro.pdm.machine import ParallelDiskMachine
 
 U = 1 << 18
@@ -82,3 +85,55 @@ class TestLookupBatch:
         assert results[1].value == "abcdefgh"
         assert results[2].value == "ijklmnop"
         assert not results[3].found
+
+
+@pytest.mark.parametrize("cache_blocks", [None, 6])
+@pytest.mark.parametrize("killed", [(), (1,)])
+def test_multi_block_buckets_match_single_lookups(cache_blocks, killed):
+    """A bucket spanning several blocks is a run of consecutive blocks in
+    the batch plan; answers and degraded verdicts match per-key lookups,
+    with and without a pool, healthy and with a disk down."""
+    machine = ParallelDiskMachine(8, 4, cache_blocks=cache_blocks)
+    d = BasicDictionary(
+        machine, universe_size=U, capacity=40, degree=8, stripe_size=4,
+        bucket_capacity=10, seed=2,
+    )
+    assert d.buckets.blocks_per_bucket == 3
+    keys = random.Random(4).sample(range(U), 30)
+    for k in keys:
+        d.insert(k, k % 97)
+    if killed:
+        attach_faults(
+            machine, FaultPlan.kill_disks(killed, num_disks=8).events
+        )
+    probes = keys + [k + 1 for k in keys[:10]]
+    batch, _ = d.batch_lookup(probes)
+    degraded = 0
+    for key in probes:
+        try:
+            single = d.lookup(key)
+        except DegradedLookupError as exc:
+            degraded += 1
+            assert isinstance(batch[key], DegradedLookupError)
+            assert batch[key].membership == exc.membership
+            continue
+        assert (batch[key].found, batch[key].value) == (
+            single.found, single.value,
+        )
+    assert bool(degraded) == bool(killed)
+
+
+def test_wide_universe_batches_on_the_reference_kernel():
+    """Keys past the kernels' 64-bit lanes (2**64 - 1 pads the numpy
+    column rows) take the same pipeline on the reference kernel."""
+    machine = ParallelDiskMachine(8, 16)
+    d = BasicDictionary(
+        machine, universe_size=1 << 70, capacity=64, degree=8, seed=4,
+        kernel="numpy",
+    )
+    keys = [(1 << 64) - 1, 1 << 64, (1 << 69) + 3, 12345]
+    for k in keys:
+        d.insert(k, k % 1000)
+    results, _ = d.lookup_batch(keys + [77])
+    assert [results[k].value for k in keys] == [k % 1000 for k in keys]
+    assert not results[77].found

@@ -322,3 +322,33 @@ def test_backends_agree_on_plan(plan):
     assert a[0] == b[0]
     assert a[1] == b[1]
     assert list(a[2]) == list(b[2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=match_cases(), cut=st.integers(min_value=0, max_value=12))
+def test_store_columns_matches_store_column(kernel, case, cut):
+    """Storing a batch of columns in one call (two here) gives the rows,
+    and the matches, of one call per column."""
+    width, payloads, queries, candidates = case
+    single = kernel.new_column_store(width)
+    rows = [kernel.store_column(single, p) for p in payloads]
+    batched = kernel.new_column_store(width)
+    cut = min(cut, len(payloads))
+    batch_rows = list(kernel.store_columns(batched, payloads[:cut])) + list(
+        kernel.store_columns(batched, payloads[cut:])
+    )
+    assert batch_rows == rows
+    inverse = [ci for cols in candidates for ci in cols]
+    assert kernel.match_candidates(
+        batched, batch_rows, inverse, queries
+    ) == kernel.match_candidates(single, rows, inverse, queries)
+
+
+def test_store_columns_grows_past_the_initial_allocation(kernel):
+    store = kernel.new_column_store(2)
+    kernel.store_columns(store, [None, [], None])
+    rows = kernel.store_columns(store, [[(k, 0, None)] for k in range(600)])
+    assert list(rows) == list(range(3, 603))
+    assert kernel.match_candidates(
+        store, [rows[17], rows[421]], [0, 1], [17, 421]
+    ) == [(0, 0, 0), (1, 1, 0)]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.pdm.block import Block
 from repro.pdm.cache import attach_cache, detach_cache, max_cache_blocks
 from repro.pdm.faults import (
     DiskOutage,
@@ -355,3 +356,118 @@ class TestPeekCoherence:
         m.cache.flush(m)
         m.cache.invalidate((0, 0))
         assert m.peek_at((0, 0)).payload == _payload("z")
+
+
+# -- handed-out blocks and the values held with them -----------------------------
+
+
+def _state(blk):
+    payload = None if blk.payload is None else list(blk.payload)
+    return payload, blk.used_bits, blk.checksum, blk.version
+
+
+class TestHandedOutBlocksNeverChange:
+    """``Block.version`` keys the batch lookup's key columns.  That is
+    sound only because no layer changes a block it has handed out: the
+    pool's ``fill``/``put``/``refresh`` install new blocks, and fault
+    corruption stores a scrambled copy in the block's place."""
+
+    def test_pool_fill_put_and_refresh(self):
+        m = _machine(cache_blocks=2)
+        addr = (0, 0)
+        handed = []
+
+        def hand_out():
+            blk = m.read_blocks([addr])[addr]
+            handed.append((blk, _state(blk)))
+
+        m.write_blocks([(addr, _payload("a"), 64)])
+        hand_out()  # a hit on the absorbed write
+        m.write_blocks([(addr, _payload("b"), 64)])  # put over it
+        hand_out()
+        m.cache.flush(m)
+        m.cache.invalidate(addr)
+        hand_out()  # a miss: fill
+        m.cache.fill(addr, m.disks[0].peek(0), m)  # fill over it
+        hand_out()
+        attach_faults(m, [])  # write-through from here on
+        hand_out()
+        m.write_blocks([(addr, _payload("c"), 64)])  # refresh
+        assert m.read_blocks([addr])[addr].payload == _payload("c")
+        for blk, state in handed:
+            assert _state(blk) == state
+
+    def test_corruption_replaces_the_stored_block(self):
+        m = _machine()
+        m.write_blocks([((0, 0), _payload("x"), 64)])
+        clock = m.stats.total_ios
+        attach_faults(
+            m, [SilentCorruption(disk=0, round=clock + 1, block=0, salt=5)]
+        )
+        blk = m.read_blocks([(0, 0)])[(0, 0)]  # before the corruption round
+        state = _state(blk)
+        _, failures = m.read_blocks_degraded([(0, 0)])
+        assert (0, 0) in failures  # the scrambled copy fails its checksum
+        assert m.disks[0].peek(0) is not blk
+        assert _state(blk) == state
+
+
+class TestHeldColumns:
+    """A value derived from a resident block (the batch lookup's key
+    column) rides on its pool entry: it costs no internal memory, and it
+    is gone once the entry's block is replaced or leaves the pool."""
+
+    def test_held_only_for_the_block_the_pool_holds(self):
+        m = _machine(cache_blocks=2)
+        pool = m.cache
+        m.write_blocks(
+            [((0, 0), _payload("a"), 64), ((1, 0), _payload("b"), 64)]
+        )
+        a, b = pool.peek((0, 0)), pool.peek((1, 0))
+        used = m.memory.used_words
+        assert pool.hold_columns(
+            [(0, 0), (1, 0), (2, 0)], [a, b, a], ["A", "B", "X"]
+        ) == [2]
+        assert m.memory.used_words == used
+        assert pool.held_columns(
+            [(0, 0), (1, 0), (0, 0)], [a, b, b]
+        ) == ["A", "B", None]
+
+    def test_dropped_when_the_block_is_replaced(self):
+        m = _machine(cache_blocks=2)
+        pool = m.cache
+        addr = (0, 0)
+
+        def hold():
+            blk = pool.peek(addr)
+            pool.hold_columns([addr], [blk], ["A"])
+            assert pool.held_columns([addr], [blk]) == ["A"]
+            return blk
+
+        def held():
+            return pool.held_columns([addr], [pool.peek(addr)])[0]
+
+        m.write_blocks([(addr, _payload("a"), 64)])
+        hold()
+        m.write_blocks([(addr, _payload("b"), 64)])  # put
+        assert held() is None
+        hold()
+        pool.fill(addr, Block(m.block_bits), m)  # fill over the entry
+        assert held() is None
+        hold()
+        attach_faults(m, [])
+        m.write_blocks([(addr, _payload("c"), 64)])  # refresh
+        assert held() is None
+        blk = hold()
+        pool.invalidate(addr)
+        assert pool.held_columns([addr], [blk]) == [None]
+
+    def test_dropped_on_eviction(self):
+        m = _machine(cache_blocks=1)
+        pool = m.cache
+        m.write_blocks([((0, 0), _payload("a"), 64)])
+        blk = pool.peek((0, 0))
+        pool.hold_columns([(0, 0)], [blk], ["A"])
+        m.write_blocks([((1, 0), _payload("b"), 64)])  # evicts (0, 0)
+        again = m.read_blocks([(0, 0)])[(0, 0)]  # filled anew
+        assert pool.held_columns([(0, 0)], [again]) == [None]
