@@ -97,9 +97,9 @@ bench-recovery:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_fault_recovery.py -q --benchmark-disable
 
 # Executor scaling: wall-clock round time per backend (simulated /
-# file / file workers=1 / process pool) with identical charged rounds
-# asserted, and the file backend's parallel-over-sequential speedup
-# gated >= 2x at D=8 (BENCH_executors.json, merged by bench-history).
+# file / file workers=1) with identical charged rounds asserted, and
+# the file backend's parallel-over-sequential speedup gated >= 2x at
+# D=8 (BENCH_executors.json, merged by bench-history).
 bench-executors:
 	mkdir -p benchmarks/results
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_executors.py -q --benchmark-disable

@@ -56,11 +56,6 @@ def _build_executor(name, disks, tmp_path):
             "file", directory=directory, workers=1,
             transfer_delay_ns=TRANSFER_DELAY_NS,
         )
-    if name == "process":
-        return create_executor(
-            "process", directory=directory,
-            transfer_delay_ns=TRANSFER_DELAY_NS,
-        )
     raise ValueError(name)
 
 
@@ -79,7 +74,7 @@ def _run_scenario(name, disks, tmp_path):
             ((d, b), [d, b], 24)
             for d in range(disks) for b in range(BLOCKS_PER_DISK)
         )
-        # One warm pass: page cache, thread spin-up, process-pool start.
+        # One warm pass: page cache, thread spin-up.
         machine.read_blocks([(d, 0) for d in range(disks)])
 
         before = (machine.stats.read_ios, machine.stats.blocks_read)
@@ -104,7 +99,7 @@ def test_executor_scaling(benchmark, save_table, results_dir, tmp_path):
     wall = {}
     for disks in DISK_COUNTS:
         charged_by_backend = {}
-        for name in ("simulated", "file", "file-seq", "process"):
+        for name in ("simulated", "file", "file-seq"):
             elapsed_ms, round_us, charged = _run_scenario(
                 name, disks, tmp_path
             )

@@ -18,31 +18,12 @@ needs (``randrange`` / ``random`` / ``choice`` / ``shuffle``) plus
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 from repro.bits.mix import derive, splitmix64
 
 _MASK64 = (1 << 64) - 1
 _T = TypeVar("_T")
-
-
-def bulk_derive(seed: int, tag_rows: Iterable[Sequence[int]]) -> List[int]:
-    """:func:`repro.bits.mix.derive` over many tag tuples at once.
-
-    ``bulk_derive(s, rows)[i] == derive(s, *rows[i])`` exactly (asserted
-    by the kernel property suite); the shared first mix of the seed is
-    hoisted out of the loop, which is what makes domain-tagged bulk
-    derivation cheaper than per-row :func:`derive` calls.
-    """
-    acc0 = splitmix64(seed & _MASK64)
-    mix = splitmix64
-    out: List[int] = []
-    for tags in tag_rows:
-        acc = acc0
-        for t in tags:
-            acc = mix((acc ^ (t & _MASK64)) + 0xA0761D6478BD642F)
-        out.append(acc)
-    return out
 
 
 class MixStream:
@@ -132,4 +113,4 @@ class MixStream:
         return lo
 
 
-__all__ = ["MixStream", "bulk_derive"]
+__all__ = ["MixStream"]

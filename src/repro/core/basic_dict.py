@@ -306,18 +306,15 @@ class BasicDictionary(Dictionary):
         # Hot-path neighborhood evaluation, memoized into internal memory
         # (the model grants M words; repeated Γ(key) evaluations are free).
         self._neighborhoods = NeighborhoodMemo(graph, memory=machine.memory)
-        #: batch kernel (``None`` after ``kernel="off"`` or
-        #: ``REPRO_KERNEL=off``: the batch mutations evaluate
-        #: neighborhoods per key); swapping backends never changes an
-        #: answer or a charge (the tests/kernels differential suite pins
-        #: this).
+        #: batch kernel; swapping backends never changes an answer or a
+        #: charge (the tests/kernels differential suite pins this).
         self._kernel = resolve_kernel(kernel)
         #: the backend of the batch lookup pipeline: the reference kernel
-        #: when batch kernels are off or keys may not fit the 64-bit lanes
-        #: (the column stores pad rows with 2**64 - 1)
+        #: when keys may not fit the 64-bit lanes (the column stores pad
+        #: rows with 2**64 - 1)
         self._batch_kernel = (
             self._kernel
-            if self._kernel is not None and universe_size <= _MAX_LANE_KEY + 1
+            if universe_size <= _MAX_LANE_KEY + 1
             else resolve_kernel("python")
         )
         self.buckets = StripedItemBuckets(
@@ -445,8 +442,8 @@ class BasicDictionary(Dictionary):
         blocks), one planned read (the pool's cache filter, then the
         charged fetch of the misses), the kernel key match (a failed
         bucket is an empty column), and :meth:`_settle_degraded` for just
-        the keys that lost a candidate.  ``kernel="off"`` and keys wider
-        than 64 bits run it on the reference kernel.
+        the keys that lost a candidate.  Keys wider than 64 bits run it
+        on the reference kernel.
         """
         keys = list(keys)
         for key in keys:

@@ -27,7 +27,7 @@ from repro.core.basic_dict import BasicDictionary
 from repro.core.dynamic_dict import DynamicDictionary
 from repro.core.interface import Dictionary, LookupResult
 from repro.core.rebuilding import RebuildingDictionary
-from repro.pdm.executors import create_executor
+from repro.pdm.executors import EXECUTOR_NAMES, create_executor
 from repro.pdm.executors.base import RoundExecutor
 from repro.pdm.iostats import IOStats, OpCost
 from repro.pdm.machine import ParallelDiskMachine
@@ -56,11 +56,12 @@ class ParallelDiskDictionary(Dictionary):
     ):
         """``executor`` selects the physical backend for every machine the
         facade creates (:mod:`repro.pdm.executors`): ``None`` for the
-        in-memory simulator, an executor *name* (``"file"``/``"process"``,
-        with per-machine subdirectories of the required ``executor_dir``
-        and ``executor_options`` passed through), a zero/one-argument
-        *factory* called per machine, or a ready ``RoundExecutor``
-        *instance* (single-machine facades only — executors bind once).
+        in-memory simulator, an executor *name* (``"simulated"`` or
+        ``"file"``; ``"file"`` puts per-machine subdirectories in the
+        required ``executor_dir`` and passes ``executor_options``
+        through), a zero/one-argument *factory* called per machine, or a
+        ready ``RoundExecutor`` *instance* (single-machine facades only —
+        executors bind once).
         File-backed facades must be :meth:`close`\\ d before their
         directory goes away.
         """
@@ -83,6 +84,11 @@ class ParallelDiskDictionary(Dictionary):
         self.sigma = sigma
         self._machines = []
         if isinstance(executor, str):
+            if executor not in EXECUTOR_NAMES:
+                raise ValueError(
+                    f"unknown executor {executor!r}; choose from "
+                    f"{EXECUTOR_NAMES}"
+                )
             if executor != "simulated" and executor_dir is None:
                 raise ValueError(
                     f"executor {executor!r} needs executor_dir"

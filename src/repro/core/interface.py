@@ -146,9 +146,9 @@ class Dictionary:
 
     # -- batched operations --------------------------------------------------
     #
-    # The contract shared by every implementation (and relied on by
-    # ``repro.batch``): duplicate keys collapse (one outcome per distinct
-    # key, last value wins for inserts), and *per-key* fault conditions
+    # The contract shared by every implementation: duplicate keys collapse
+    # (one outcome per distinct key, last value wins for inserts), and
+    # *per-key* fault conditions
     # (degraded reads, capacity, surviving I/O faults) surface as exception
     # values in the result map — a batch never raises wholesale for a
     # condition that only poisons some of its keys.  Programming errors

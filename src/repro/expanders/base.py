@@ -94,11 +94,6 @@ class Expander:
         """``F(x, i)`` — the ``i``-th neighbor of ``x``."""
         return self.neighbors(x)[i]
 
-    def batch_neighbors(self, keys, kernel=None):
-        """``{key: neighbors(key)}`` for many keys (distinct, order
-        preserved).  Seeded graphs override with one kernel call."""
-        return {x: self.neighbors(x) for x in keys}
-
     def _check_left(self, x: int) -> None:
         if not 0 <= x < self.left_size:
             raise IndexError(

@@ -176,37 +176,6 @@ class SeededFlatExpander(Expander):
         self._cache[x] = out
         return out
 
-    def batch_neighbors(self, keys, kernel=None):
-        """Batched :meth:`neighbors` via one kernel evaluation; cache
-        semantics mirror the scalar path exactly."""
-        if kernel is None:
-            return super().batch_neighbors(keys)
-        out: Dict[int, Tuple[int, ...]] = {}
-        missing = []
-        cache = self._cache
-        for x in keys:
-            cached = cache.get(x)
-            if cached is not None:
-                out[x] = cached
-            else:
-                out[x] = ()
-                missing.append(x)
-        if missing:
-            for x in missing:
-                self._check_left(x)
-            flat = kernel.flat_neighbors(
-                self._base, self.degree, self.right_size, missing
-            )
-            d = self.degree
-            limit = self._cache_size
-            for pos, x in enumerate(missing):
-                t = tuple(flat[pos * d : (pos + 1) * d])
-                if len(cache) >= limit:
-                    cache.clear()
-                cache[x] = t
-                out[x] = t
-        return out
-
     def evaluation_memory_words(self) -> int:
         """Words of internal memory the neighbor function needs: O(1)."""
         return 2

@@ -95,17 +95,6 @@ class PolynomialHashFamily:
             acc = (acc * x + a) % self.p
         return acc % self.range_size
 
-    def hash_batch(self, keys, kernel=None) -> List[int]:
-        """``[h(x) for x in keys]`` in one bulk evaluation.
-
-        A batch kernel evaluates the Horner recurrence over flat lanes;
-        the kernel property suite pins every backend element-for-element
-        to :meth:`__call__`, so results are identical either way.
-        """
-        if kernel is None:
-            return [self(x) for x in keys]
-        return kernel.poly_hash(self.coeffs, self.p, self.range_size, keys)
-
     def rehashed(self, attempt: int) -> "PolynomialHashFamily":
         """A fresh member of the family (for rebuild-on-failure schemes)."""
         return PolynomialHashFamily(

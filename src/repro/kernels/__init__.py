@@ -14,10 +14,8 @@ Backends are selected like the executor registry
 :class:`~repro.kernels.base.PythonKernel` always available as the
 reference and :class:`~repro.kernels.numpy_backend.NumpyKernel` loaded
 lazily when numpy is importable.  The default is resolved per call from
-the ``REPRO_KERNEL`` environment variable (``python`` / ``numpy`` /
-``off``) and auto-picks numpy when unset.  ``off`` keeps the batch
-mutations on per-key neighborhood evaluation; batch lookups then run on
-the reference kernel.
+the ``REPRO_KERNEL`` environment variable (``python`` / ``numpy``) and
+auto-picks numpy when unset.  Every batch operation runs on a kernel.
 
 This package sits beside :mod:`repro.bits` at the bottom of the layer
 graph (arch-base): it may be imported from any layer and itself imports
@@ -63,36 +61,37 @@ def _cached(name: str) -> Kernel:
     return kern
 
 
-def default_kernel() -> Optional[Kernel]:
+def default_kernel() -> Kernel:
     """The process-default kernel, honoring ``REPRO_KERNEL``.
 
-    ``off``/``none`` → ``None`` (callers fall back to their scalar
-    paths); unset/``auto`` → numpy when importable else the reference.
+    Unset/``auto`` → numpy when importable else the reference; a backend
+    name → that backend; anything else raises :class:`ValueError`.
     Kernels are stateless, so instances are shared.
     """
     choice = os.environ.get(KERNEL_ENV, "auto").strip().lower()
-    if choice in ("off", "none", "0", "disabled"):
-        return None
     if choice in ("auto", ""):
         try:
             return _cached("numpy")
         except ImportError:
             return _cached("python")
+    if choice not in KERNEL_NAMES:
+        raise ValueError(
+            f"{KERNEL_ENV}={choice!r} is not a kernel backend; expected "
+            f"one of {KERNEL_NAMES} (or unset for the default)"
+        )
     return _cached(choice)
 
 
-def resolve_kernel(spec: "Optional[str | Kernel]") -> Optional[Kernel]:
-    """Normalize a constructor argument into a kernel (or ``None``).
+def resolve_kernel(spec: "Optional[str | Kernel]") -> Kernel:
+    """Normalize a constructor argument into a kernel.
 
-    ``None`` → :func:`default_kernel`; ``"off"`` → ``None``; a name →
-    that backend; a :class:`Kernel` instance passes through.
+    ``None`` → :func:`default_kernel`; a name → that backend (see
+    :func:`create_kernel`); a :class:`Kernel` instance passes through.
     """
     if spec is None:
         return default_kernel()
     if isinstance(spec, Kernel):
         return spec
-    if spec in ("off", "none"):
-        return None
     return _cached(spec)
 
 

@@ -1,8 +1,8 @@
 """The batch-kernel interface and its pure-Python reference backend.
 
-A *kernel* evaluates the per-key arithmetic of the hot path — splitmix64
-mixes, expander neighborhoods, polynomial hashes, probe planning, batch
-key matching — for a **whole batch at once** over flat arrays, instead of
+A *kernel* evaluates the per-key arithmetic of the batch hot path —
+expander neighborhoods, probe planning, key-column storage and batch key
+matching — for a **whole batch at once** over flat arrays, instead of
 one Python call per key.  Two hard rules make kernels safe to thread
 through the charged stack:
 
@@ -10,9 +10,9 @@ through the charged stack:
   other stateful object; it maps value arrays to value arrays.  The
   detlint flow rules (COST101/DET101) verify this stays true.
 * **Scalar equivalence** — every op is bit-identical to the scalar
-  function it replaces (:func:`repro.bits.mix.splitmix64` /
-  :func:`~repro.bits.mix.derive`, ``SeededRandomExpander``'s neighbor
-  formula, ``PolynomialHashFamily.__call__``).  The property suite in
+  code it replaces (``SeededRandomExpander``'s neighbor formula over
+  :func:`repro.bits.mix.splitmix64`, the ``dict.fromkeys`` probe dedup,
+  the per-bucket item scan).  The property suite in
   ``tests/kernels`` holds every backend to the reference element for
   element, so swapping backends can never change an answer, a charge or
   a fault.
@@ -27,9 +27,7 @@ from __future__ import annotations
 from array import array
 from typing import Any, List, Sequence, Tuple
 
-from repro.bits.mix import derive, splitmix64
-
-_MASK64 = (1 << 64) - 1
+from repro.bits.mix import splitmix64
 
 Addr = Tuple[int, int]
 
@@ -44,18 +42,6 @@ class Kernel:
 
     name: str = "abstract"
 
-    # -- bulk mixing -------------------------------------------------------
-
-    def splitmix_fill(self, start: int, count: int) -> array:
-        """``splitmix64(start + i)`` for ``i in range(count)`` as
-        ``array('Q')`` — the counter-mode shape of :class:`MixStream`."""
-        raise NotImplementedError
-
-    def derive_pairs(self, seed: int, pairs: Sequence[Addr]) -> List[int]:
-        """``derive(seed, a, b)`` for every pair — the round-packing
-        priority stream of :func:`repro.pdm.machine.pack_rounds`."""
-        raise NotImplementedError
-
     # -- expander neighborhoods -------------------------------------------
 
     def stripe_local_indices(
@@ -64,23 +50,6 @@ class Kernel:
         """``splitmix64(base + x*degree + i) % stripe_size`` for every key
         ``x`` and stripe ``i`` — ``SeededRandomExpander``'s neighbor map,
         flattened key-major into ``array('I')``."""
-        raise NotImplementedError
-
-    def flat_neighbors(
-        self, base: int, degree: int, right_size: int, keys: Sequence[int]
-    ) -> array:
-        """``splitmix64(base + x*degree + i) % right_size`` flattened
-        key-major into ``array('Q')`` — ``SeededFlatExpander``'s map."""
-        raise NotImplementedError
-
-    # -- hash families -----------------------------------------------------
-
-    def poly_hash(
-        self, coeffs: Sequence[int], p: int, range_size: int,
-        keys: Sequence[int],
-    ) -> List[int]:
-        """Horner evaluation of the polynomial mod ``p`` then mod
-        ``range_size`` for every key — ``PolynomialHashFamily.__call__``."""
         raise NotImplementedError
 
     # -- probe planning ----------------------------------------------------
@@ -151,13 +120,6 @@ class Kernel:
         """
         raise NotImplementedError
 
-    # -- checksum verification --------------------------------------------
-
-    def failed_checksums(self, blocks: Sequence[Any]) -> List[int]:
-        """Indices of blocks whose sealed checksum no longer matches
-        (:meth:`repro.pdm.block.Block.verify` batched over the fetch)."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -180,23 +142,6 @@ class PythonKernel(Kernel):
 
     name = "python"
 
-    def splitmix_fill(self, start: int, count: int) -> array:
-        start &= _MASK64
-        mix = splitmix64
-        return array(
-            "Q", (mix((start + i) & _MASK64) for i in range(count))
-        )
-
-    def derive_pairs(self, seed: int, pairs: Sequence[Addr]) -> List[int]:
-        # Hoist derive()'s seed mix: acc0 is shared by every pair.
-        mix = splitmix64
-        acc0 = mix(seed & _MASK64)
-        out = []
-        for a, b in pairs:
-            acc = mix(((acc0 ^ (a & _MASK64)) + 0xA0761D6478BD642F))
-            out.append(mix(((acc ^ (b & _MASK64)) + 0xA0761D6478BD642F)))
-        return out
-
     def stripe_local_indices(
         self, base: int, degree: int, stripe_size: int, keys: Sequence[int]
     ) -> array:
@@ -205,29 +150,6 @@ class PythonKernel(Kernel):
         for x in keys:
             b = base + x * degree
             out.extend(mix(b + i) % stripe_size for i in range(degree))
-        return out
-
-    def flat_neighbors(
-        self, base: int, degree: int, right_size: int, keys: Sequence[int]
-    ) -> array:
-        mix = splitmix64
-        out = array("Q")
-        for x in keys:
-            b = base + x * degree
-            out.extend(mix(b + i) % right_size for i in range(degree))
-        return out
-
-    def poly_hash(
-        self, coeffs: Sequence[int], p: int, range_size: int,
-        keys: Sequence[int],
-    ) -> List[int]:
-        rev = tuple(reversed(coeffs))
-        out = []
-        for x in keys:
-            acc = 0
-            for a in rev:
-                acc = (acc * x + a) % p
-            out.append(acc % range_size)
         return out
 
     def plan_unique_probe(
@@ -292,9 +214,6 @@ class PythonKernel(Kernel):
                         out.append((qi, ci, slot))
         return out
 
-    def failed_checksums(self, blocks: Sequence[Any]) -> List[int]:
-        return [i for i, blk in enumerate(blocks) if not blk.verify()]
 
 
-# re-exported for the property tests' convenience
-__all__ = ["Addr", "Kernel", "PythonKernel", "derive", "splitmix64"]
+__all__ = ["Addr", "Kernel", "PythonKernel"]

@@ -7,11 +7,9 @@ wrapping ``uint64`` ops reproduce it exactly; the property suite in
 reference on every op.
 
 Where vectorization cannot be exact the backend *falls back to the
-reference loop* rather than approximate: polynomial hashing only
-vectorizes when the modulus ``p`` fits 32 bits (so ``acc * x + a`` fits
-``uint64`` without overflow past the modulus), and neighborhood maps only
-when the mix inputs fit ``uint64`` (they always do for in-range keys —
-the wrap is congruent mod 2^64 either way — but Python-int inputs
+reference loop* rather than approximate: neighborhood maps vectorize
+only when the mix inputs fit ``uint64`` (they always do for in-range
+keys — the wrap is congruent mod 2^64 either way — but Python-int inputs
 beyond 64 bits reject conversion, and those take the loop).
 """
 
@@ -38,7 +36,6 @@ _SENTINEL = _U64(0xFFFFFFFFFFFFFFFF)
 _C_GAMMA = _U64(0x9E3779B97F4A7C15)
 _C_MIX1 = _U64(0xBF58476D1CE4E5B9)
 _C_MIX2 = _U64(0x94D049BB133111EB)
-_C_DERIVE = _U64(0xA0761D6478BD642F)
 _S30 = _U64(30)
 _S27 = _U64(27)
 _S31 = _U64(31)
@@ -74,79 +71,24 @@ class NumpyKernel(Kernel):
     def __init__(self) -> None:
         self._ref = PythonKernel()
 
-    def splitmix_fill(self, start: int, count: int) -> array:
-        z = _U64(start & _MASK64) + np.arange(count, dtype=np.uint64)
-        out = array("Q")
-        out.frombytes(splitmix64_array(z).tobytes())
-        return out
-
-    def derive_pairs(self, seed: int, pairs: Sequence[Addr]) -> List[int]:
-        n = len(pairs)
-        if not n:
-            return []
-        from repro.bits.mix import splitmix64
-
-        acc0 = _U64(splitmix64(seed & _MASK64))
-        a = np.fromiter((p[0] for p in pairs), dtype=np.uint64, count=n)
-        b = np.fromiter((p[1] for p in pairs), dtype=np.uint64, count=n)
-        acc = splitmix64_array((acc0 ^ a) + _C_DERIVE)
-        acc = splitmix64_array((acc ^ b) + _C_DERIVE)
-        return acc.tolist()
-
-    def _neighbor_mix(
-        self, base: int, degree: int, keys: Sequence[int]
-    ) -> "np.ndarray | None":
-        """The flat ``splitmix64(base + x*degree + i)`` grid, or ``None``
-        when the inputs do not fit the vector lanes (caller falls back)."""
-        try:
-            k = np.asarray(keys, dtype=np.uint64)
-        except (OverflowError, TypeError, ValueError):
-            return None
-        z = (
-            k * _U64(degree)
-        )[:, None] + np.arange(degree, dtype=np.uint64)[None, :]
-        z = z + _U64(base & _MASK64)
-        return splitmix64_array(z.ravel())
-
     def stripe_local_indices(
         self, base: int, degree: int, stripe_size: int, keys: Sequence[int]
     ) -> array:
-        mixed = self._neighbor_mix(base, degree, keys)
-        if mixed is None or stripe_size > 0xFFFFFFFF:
+        try:
+            k = np.asarray(keys, dtype=np.uint64)
+        except (OverflowError, TypeError, ValueError):
+            k = None  # keys beyond the vector lanes
+        if k is None or stripe_size > 0xFFFFFFFF:
             return self._ref.stripe_local_indices(
                 base, degree, stripe_size, keys
             )
+        z = (
+            k * _U64(degree)
+        )[:, None] + np.arange(degree, dtype=np.uint64)[None, :]
+        mixed = splitmix64_array((z + _U64(base & _MASK64)).ravel())
         out = array("I")
         out.frombytes((mixed % _U64(stripe_size)).astype(np.uint32).tobytes())
         return out
-
-    def flat_neighbors(
-        self, base: int, degree: int, right_size: int, keys: Sequence[int]
-    ) -> array:
-        mixed = self._neighbor_mix(base, degree, keys)
-        if mixed is None:
-            return self._ref.flat_neighbors(base, degree, right_size, keys)
-        out = array("Q")
-        out.frombytes((mixed % _U64(right_size)).tobytes())
-        return out
-
-    def poly_hash(
-        self, coeffs: Sequence[int], p: int, range_size: int,
-        keys: Sequence[int],
-    ) -> List[int]:
-        # Exactness bound: with p < 2^32 every Horner step's acc*x + a
-        # (both operands already reduced mod p) stays below 2^64.
-        if p > 0xFFFFFFFF:
-            return self._ref.poly_hash(coeffs, p, range_size, keys)
-        try:
-            x = np.asarray(keys, dtype=np.uint64) % _U64(p)
-        except (OverflowError, TypeError, ValueError):
-            return self._ref.poly_hash(coeffs, p, range_size, keys)
-        acc = np.zeros(len(x), dtype=np.uint64)
-        pp = _U64(p)
-        for a in reversed(coeffs):
-            acc = (acc * x + _U64(a)) % pp
-        return (acc % _U64(range_size)).tolist()
 
     def plan_unique_probe(
         self,
@@ -248,11 +190,6 @@ class NumpyKernel(Kernel):
         return list(
             zip((pos // degree).tolist(), inv[pos].tolist(), slot.tolist())
         )
-
-    def failed_checksums(self, blocks: Sequence[Any]) -> List[int]:
-        # Checksums fingerprint arbitrary Python payloads; the batch win is
-        # the single pass, not numeric lanes.
-        return self._ref.failed_checksums(blocks)
 
 
 __all__ = ["NumpyKernel", "splitmix64_array"]

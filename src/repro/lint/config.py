@@ -28,7 +28,7 @@ Keys (all optional):
     Packages importable from anywhere (the bottom layer).
 ``race-scope``
     Dotted package prefixes whose classes face the pluggable executors
-    (thread-per-disk / process-pool): the RACE2xx shared-state rules apply
+    (the thread-per-disk file backend): the RACE2xx shared-state rules apply
     to state defined here.  Module-level state (RACE201) is checked in
     every deterministic module regardless.
 ``span-scope``
@@ -70,7 +70,6 @@ DEFAULT_RACE_SCOPE = [
     "repro.core",
     "repro.expanders",
     "repro.extsort",
-    "repro.batch",
     "repro.hashing",
     "repro.btree",
     "repro.recovery",

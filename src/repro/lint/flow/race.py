@@ -1,12 +1,12 @@
-"""RACE rules: shared mutable state ahead of the pluggable-executor split.
+"""RACE rules: shared mutable state under the pluggable executors.
 
-The roadmap's next step runs dictionary operations on thread-per-disk and
-process-pool executors.  The analysis layer proves the *algorithms* are
+The file executor serves each disk on its own worker thread (one lane
+per disk).  The analysis layer proves the *algorithms* are
 conflict-free (disjoint footprints); these rules police the *Python
 objects*: any mutable state reachable from two executor lanes must either
 be confined, redesigned, or carry an explicit synchronisation declaration
 — the ``# detlint: guarded(<lock>)`` pragma on its definition line, which
-doubles as the inventory the executor work will implement against.
+doubles as the inventory of lane-shared state.
 
 * RACE201 — module- or class-level mutable containers mutated at runtime
   (interpreter-wide state: every thread in the process shares it);

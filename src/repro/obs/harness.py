@@ -263,13 +263,13 @@ def run_instrumented(
     are byte-identical with ``wall`` on or off.
 
     ``executor`` selects the physical backend (:mod:`repro.pdm.executors`):
-    ``"simulated"`` (default, in-memory), or ``"file"``/``"process"`` over
-    real per-disk logs in ``executor_dir`` (a temporary directory when
-    ``None``, removed when the run's machine is closed by the caller).
-    The executor-equivalence invariant means every deterministic output is
-    byte-identical across backends; with ``wall=True`` the file backends
-    additionally receive the injected wall clock and the lane factory, so
-    their worker threads stamp ``disk-lane:<disk>`` spans and the report
+    ``"simulated"`` (default, in-memory), or ``"file"`` over real per-disk
+    logs in ``executor_dir`` (a temporary directory when ``None``, removed
+    when the run's machine is closed by the caller).  The
+    executor-equivalence invariant means every deterministic output is
+    byte-identical across backends; with ``wall=True`` the file backend
+    additionally receives the injected wall clock and the lane factory, so
+    its worker threads stamp ``disk-lane:<disk>`` spans and the report
     gains ``executor.*`` transfer metrics in ``wall_registry``.
     """
     temp_dir: Optional[str] = None
@@ -282,8 +282,7 @@ def run_instrumented(
         options: Dict[str, Any] = {}
         if wall:
             options["clock"] = wallclock.DEFAULT_CLOCK
-            if executor == "file":
-                options["lane_factory"] = wallclock.lane
+            options["lane_factory"] = wallclock.lane
         engine = create_executor(
             executor, directory=executor_dir, **options
         )

@@ -44,9 +44,9 @@ This package provides:
 * :mod:`~repro.pdm.executors` — the pluggable physical backend seam:
   round planning and charging stay in the machine, while a
   :class:`~repro.pdm.executors.base.RoundExecutor` moves the bytes — the
-  default in-memory :class:`~repro.pdm.executors.base.SimulatedExecutor`,
-  a thread-per-disk real-file backend, or a process-pool backend, all
-  bit-identical in charged accounting (see ``docs/executors.md``).
+  default in-memory :class:`~repro.pdm.executors.base.SimulatedExecutor`
+  or a thread-per-disk real-file backend, bit-identical in charged
+  accounting (see ``docs/executors.md``).
 * :mod:`~repro.pdm.faults` / :mod:`~repro.pdm.errors` — deterministic fault
   injection (disk outages, transient read errors, silent corruption,
   stragglers, all scheduled by logical round) plus the typed

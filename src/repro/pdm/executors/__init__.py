@@ -1,16 +1,14 @@
 """Pluggable physical backends for the PDM machines.
 
 The machine plans and charges rounds; a :class:`RoundExecutor` moves the
-bytes.  Three implementations:
+bytes.  Two implementations:
 
 * :class:`SimulatedExecutor` — in-memory, the default, zero overhead;
 * ``FileExecutor`` (:mod:`repro.pdm.executors.filebacked`) — real files,
-  one worker thread per disk;
-* ``ProcessExecutor`` (:mod:`repro.pdm.executors.procpool`) — same file
-  image, reads on a process pool.
+  one worker thread per disk.
 
 This package ``__init__`` imports only the seam (:mod:`.base`): the file
-backends pull in :mod:`repro.fs`, whose package import reaches back up
+backend pulls in :mod:`repro.fs`, whose package import reaches back up
 through :mod:`repro.core` to the machine — importing them lazily via
 :func:`create_executor` keeps the cycle broken no matter which module is
 imported first.
@@ -27,19 +25,19 @@ from repro.pdm.executors.base import (
     SimulatedExecutor,
 )
 
-EXECUTOR_NAMES = ("simulated", "file", "process")
+EXECUTOR_NAMES = ("simulated", "file")
 
 
 def create_executor(
     name: str, *, directory: Optional[str] = None, **options
 ) -> RoundExecutor:
-    """Build an executor by name.
+    """Build an executor by name (one of :data:`EXECUTOR_NAMES`).
 
-    ``directory`` is required for the file-backed executors and rejected
-    for ``"simulated"``-with-options misuse is surfaced by the underlying
-    constructors.  Extra keyword ``options`` pass through (``workers``,
-    ``fsync``, ``transfer_delay_ns``, ``clock``, ``lane_factory``,
-    ``pool`` — whichever the chosen backend accepts).
+    ``"file"`` needs a ``directory`` and passes the keyword ``options``
+    through to :class:`~repro.pdm.executors.filebacked.FileExecutor`
+    (``workers``, ``fsync``, ``transfer_delay_ns``, ``clock``,
+    ``lane_factory``).  ``"simulated"`` takes neither.  Any other name
+    raises :class:`ValueError`.
     """
     if name == "simulated":
         if directory is not None or options:
@@ -53,12 +51,6 @@ def create_executor(
         from repro.pdm.executors.filebacked import FileExecutor
 
         return FileExecutor(directory, **options)
-    if name == "process":
-        if directory is None:
-            raise ValueError("the process executor needs a directory")
-        from repro.pdm.executors.procpool import ProcessExecutor
-
-        return ProcessExecutor(directory, **options)
     raise ValueError(
         f"unknown executor {name!r}; choose from {EXECUTOR_NAMES}"
     )

@@ -11,8 +11,8 @@ this round, produce their bytes (``run_read``) or persist them
 
 That split is what makes the executor-equivalence invariant hold **by
 construction**: charged ``IOStats``/``OpCost``/``RoundPlan`` accounting
-is computed entirely above the seam, so every executor — in-memory,
-thread-per-disk over real files, process-pool — produces bit-identical
+is computed entirely above the seam, so both executors — in-memory and
+thread-per-disk over real files — produce bit-identical
 accounting for the same operation sequence, healthy or under a fault
 plan (asserted by ``tests/model`` and
 ``tests/integration/test_executor_parity.py``; see ``docs/executors.md``).

@@ -44,12 +44,6 @@ from repro.pdm.errors import BlockCorruption, IOFault
 from repro.pdm.executors.base import Addr, ReadResult, RoundExecutor
 
 
-def disk_log_path(directory: str, disk_id: int) -> str:
-    """The canonical per-disk log filename (shared with the process
-    executor so the two file backends are image-compatible)."""
-    return os.path.join(str(directory), f"disk-{disk_id:03d}.blk")
-
-
 class FileExecutor(RoundExecutor):
     """Real-file backend: one block log and one worker lane per disk.
 
@@ -111,7 +105,10 @@ class FileExecutor(RoundExecutor):
         super().bind(machine)
         os.makedirs(self.directory, exist_ok=True)
         self._logs = [
-            BlockLogFile(disk_log_path(self.directory, i), fsync=self.fsync)
+            BlockLogFile(
+                os.path.join(self.directory, f"disk-{i:03d}.blk"),
+                fsync=self.fsync,
+            )
             for i in range(machine.num_disks)
         ]
         if self.workers != 1 and machine.num_disks > 1:

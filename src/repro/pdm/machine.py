@@ -83,8 +83,6 @@ def pack_rounds(
     num_disks: int,
     distinct_disks: bool = True,
     salt: int = 0,
-    kernel=None,
-    priorities: Optional[Sequence[int]] = None,
 ) -> RoundPlan:
     """Pack block requests into parallel I/O rounds.
 
@@ -101,35 +99,12 @@ def pack_rounds(
     occupy a prefix of rounds, so ``num_rounds`` equals the max per-disk
     multiplicity — exactly what :meth:`ParallelDiskMachine._batch_rounds`
     charges.  For the head model it yields ``ceil(unique / D)``.
-
-    The priority stream can be supplied in bulk instead of derived per
-    address: ``kernel`` evaluates it in one :meth:`~repro.kernels.base.
-    Kernel.derive_pairs` call, or ``priorities`` passes it precomputed
-    (one value per *deduplicated* address, first-appearance order — i.e.
-    pass already-unique addresses when using it).  Both are bit-identical
-    to the per-address ``derive`` (the kernel suite pins this), so the
-    schedule never depends on which path produced it.
     """
     if num_disks <= 0:
         raise ValueError(f"need at least one disk, got {num_disks}")
     requests = [tuple(a) for a in addrs]
     unique = list(dict.fromkeys(requests))
-    if priorities is None and kernel is not None:
-        priorities = kernel.derive_pairs(salt, unique)
-    if priorities is not None:
-        if len(priorities) != len(unique):
-            raise ValueError(
-                f"got {len(priorities)} priorities for {len(unique)} "
-                f"unique addresses"
-            )
-        order = sorted(
-            range(len(unique)), key=lambda i: (priorities[i], unique[i])
-        )
-        ordered = [unique[i] for i in order]
-    else:
-        ordered = sorted(
-            unique, key=lambda a: (derive(salt, a[0], a[1]), a)
-        )
+    ordered = sorted(unique, key=lambda a: (derive(salt, a[0], a[1]), a))
     rounds: List[List[Addr]] = []
     widths: List[int] = []
     next_free: Dict[int, int] = {}
@@ -339,9 +314,9 @@ class AbstractDiskMachine:
 
     def close(self) -> None:
         """Release executor-held physical resources (worker threads, file
-        descriptors).  A no-op for the in-memory simulator; file- and
-        process-backed machines must be closed before their directory
-        goes away.  Idempotent."""
+        descriptors).  A no-op for the in-memory simulator; file-backed
+        machines must be closed before their directory goes away.
+        Idempotent."""
         self.executor.close()
 
     # -- allocation ---------------------------------------------------------
@@ -432,23 +407,17 @@ class AbstractDiskMachine:
         return self._batch_rounds(unique)
 
     def plan_rounds(
-        self, addrs: Iterable[Addr], *, salt: int = 0, kernel=None,
-        priorities: Optional[Sequence[int]] = None,
+        self, addrs: Iterable[Addr], *, salt: int = 0
     ) -> RoundPlan:
         """Explicit round schedule for a batch under this cost model.
 
         ``plan_rounds(addrs).num_rounds == batch_rounds(addrs)`` always —
-        the plan is the constructive witness of the charged cost.  A batch
-        kernel (or a precomputed ``priorities`` stream, see
-        :func:`pack_rounds`) evaluates the packing priorities in bulk
-        without changing the schedule."""
+        the plan is the constructive witness of the charged cost."""
         return pack_rounds(
             addrs,
             num_disks=self.num_disks,
             distinct_disks=self.rounds_need_distinct_disks,
             salt=salt,
-            kernel=kernel,
-            priorities=priorities,
         )
 
     #: PDM rounds may touch each disk once; the head model has no such rule.

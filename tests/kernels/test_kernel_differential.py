@@ -1,15 +1,15 @@
 """Differential suite: kernel backends change the clock, never the run.
 
-Three copies of the same dictionary — ``kernel="off"`` (per-key
-neighborhoods, the batch lookup on the reference kernel), the pure-Python
-kernel, and (when importable) the numpy kernel — replay identical
-workloads on identical machines.  Everything observable must agree:
-per-key batch outcomes, the charged :class:`~repro.pdm.iostats.IOStats`,
-the per-batch ``OpCost``, and the round-packing witnesses recorded on the
-batch spans.  The comparison runs healthy, under a ``kill_disks`` fault
-plan, with a memory budget tiny enough to freeze the neighborhood memo
-and the key-column cache, and across mutation (the column cache must
-never serve stale rows).
+Copies of the same dictionary on the pure-Python kernel and (when
+importable) the numpy kernel replay identical workloads on identical
+machines, and everything observable is held to literal digests of the
+per-key neighborhood path the kernels replaced: per-key batch outcomes,
+the charged :class:`~repro.pdm.iostats.IOStats`, the per-batch
+``OpCost``, and the round-packing witnesses recorded on the batch spans.
+The comparison runs healthy, under a ``kill_disks`` fault plan, with a
+memory budget tiny enough to freeze the neighborhood memo and the
+key-column cache, and across mutation (the column cache must never serve
+stale rows).
 
 The pipeline matrix below also holds every backend to literal snapshots
 of the scalar batch body that the planned-read pipeline replaced, pooled
@@ -25,7 +25,7 @@ import pytest
 from repro.core.basic_dict import BasicDictionary
 from repro.core.interface import DegradedLookupError, LookupResult
 from repro.faults.plan import FaultPlan
-from repro.kernels import create_kernel
+from repro.kernels import KERNEL_ENV, create_kernel
 from repro.pdm.executors import create_executor
 from repro.pdm.faults import attach_faults
 from repro.pdm.machine import ParallelDiskMachine
@@ -38,7 +38,7 @@ B = 16
 CAPACITY = 256
 N_ITEMS = 96
 
-KERNELS = ["off", "python"]
+KERNELS = ["python"]
 try:
     create_kernel("numpy")
     KERNELS.append("numpy")
@@ -80,6 +80,10 @@ def _outcome_fingerprint(outcomes):
         else:
             fp[key] = ("error", type(res).__name__)
     return fp
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
 def _stats_fingerprint(machine):
@@ -139,24 +143,27 @@ def _run_replay(kernel, *, faults=None, memory_words=None, batches=3):
     return observed
 
 
-@pytest.mark.parametrize("kernel", KERNELS[1:])
+#: Digests of everything :func:`_run_replay` observes, captured from the
+#: per-key neighborhood path (batch mutations evaluating one key at a
+#: time) that the kernels replaced.  The tiny memory budget freezes the
+#: neighborhood memo and the key-column cache without changing a single
+#: observable, so it shares the healthy digest.
+HEALTHY_DIGEST = "1ebfd6c12b755045"
+KILL_DISKS_DIGEST = "cea178948f748491"
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
 class TestKernelMatchesScalar:
     def test_healthy_replay(self, kernel):
-        assert _run_replay(kernel) == _run_replay("off")
+        assert _digest(_run_replay(kernel)) == HEALTHY_DIGEST
 
     def test_under_kill_disks(self, kernel):
-        faults = [0, 3]
-        assert _run_replay(kernel, faults=faults) == _run_replay(
-            "off", faults=faults
-        )
+        assert _digest(_run_replay(kernel, faults=[0, 3])) == KILL_DISKS_DIGEST
 
     def test_memo_and_cache_frozen_under_tiny_memory(self, kernel):
         # A budget too small for the neighborhood memo and the key-column
         # cache: both freeze, and the frozen paths must stay identical.
-        words = 512
-        assert _run_replay(kernel, memory_words=words) == _run_replay(
-            "off", memory_words=words
-        )
+        assert _digest(_run_replay(kernel, memory_words=512)) == HEALTHY_DIGEST
 
     def test_plan_matches_machine_charge(self, kernel):
         """``plan_unique_probe`` + ``rounds_for_counts`` equals the
@@ -179,11 +186,27 @@ class TestKernelMatchesScalar:
 
 def test_backends_disagreeing_would_be_caught():
     """The harness is sensitive: perturbing one observable fails."""
-    a = _run_replay("off")
-    b = _run_replay("off")
+    a = _run_replay("python")
+    b = _run_replay("python")
     assert a == b
     b[-1][0]["rounds_batched"] += 1
     assert a != b
+    assert _digest(a) != _digest(b)
+
+
+@pytest.mark.parametrize(
+    "kernel, env",
+    [("off", None), ("none", None),
+     (None, "off"), (None, "none"), (None, "0"), (None, "disabled")],
+)
+def test_kernel_off_is_rejected(monkeypatch, kernel, env):
+    """Every batch operation runs on a kernel: asking for none, by
+    argument or through the environment, is an error, not a quiet
+    fallback to the default backend."""
+    if env is not None:
+        monkeypatch.setenv(KERNEL_ENV, env)
+    with pytest.raises(ValueError, match=r"'python', 'numpy'"):
+        _build(kernel)
 
 
 # -- the pipeline matrix ---------------------------------------------------------
@@ -205,10 +228,6 @@ CONFIGS = {
     "pooled-killed": dict(cache_blocks=POOL_BLOCKS, faults=KILLED),
 }
 EXECUTORS = ["simulated", "file"]
-
-
-def _digest(obj):
-    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
 def _observe(kernel, *, cache_blocks, faults, executor, directory):

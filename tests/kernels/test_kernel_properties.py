@@ -3,12 +3,12 @@ for element.
 
 The batch kernels (:mod:`repro.kernels`) are only allowed to change the
 clock, never an answer — so each op is pinned here against the *scalar*
-function it replaces (``splitmix64``/``derive``, the seeded expanders'
-neighbor formulas, ``PolynomialHashFamily.__call__``, the batch planner's
-``dict.fromkeys`` dedup) under Hypothesis-generated inputs, for every
-available backend.  The differential suite
-(``test_kernel_differential.py``) covers the dictionaries end to end;
-this file covers the ops in isolation, where shrinking is sharpest.
+code it replaces (the seeded expander's neighbor formula, the batch
+planner's ``dict.fromkeys`` dedup, the per-bucket key scan) under
+Hypothesis-generated inputs, for every available backend.  The
+differential suite (``test_kernel_differential.py``) covers the
+dictionaries end to end; this file covers the ops in isolation, where
+shrinking is sharpest.
 """
 
 from array import array
@@ -17,13 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bits.mix import derive, splitmix64
-from repro.bits.stream import MixStream, bulk_derive
-from repro.expanders.random_graph import (
-    SeededFlatExpander,
-    SeededRandomExpander,
-)
-from repro.hashing.families import PolynomialHashFamily
+from repro.bits.stream import MixStream
+from repro.expanders.random_graph import SeededRandomExpander
 from repro.kernels import create_kernel
 
 _MASK64 = (1 << 64) - 1
@@ -48,37 +43,7 @@ small = st.integers(min_value=0, max_value=1 << 20)
 vertex = st.integers(min_value=0, max_value=(1 << 62) - 1)
 
 
-# -- bulk mixing --------------------------------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(start=u64, count=st.integers(min_value=0, max_value=200))
-def test_splitmix_fill_matches_scalar(kernel, start, count):
-    out = kernel.splitmix_fill(start, count)
-    assert isinstance(out, array) and out.typecode == "Q"
-    assert list(out) == [
-        splitmix64((start + i) & _MASK64) for i in range(count)
-    ]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=u64,
-    pairs=st.lists(st.tuples(u64, u64), max_size=50),
-)
-def test_derive_pairs_matches_derive(kernel, seed, pairs):
-    assert kernel.derive_pairs(seed, pairs) == [
-        derive(seed, a, b) for a, b in pairs
-    ]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=u64,
-    rows=st.lists(st.lists(u64, max_size=4), max_size=30),
-)
-def test_bulk_derive_matches_derive(seed, rows):
-    assert bulk_derive(seed, rows) == [derive(seed, *row) for row in rows]
+# -- the workload stream -----------------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,64 +89,6 @@ def test_stripe_local_indices_matches_expander(
     for x in keys:
         expected.extend(j for _, j in graph.striped_neighbors(x))
     assert list(out) == expected
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=small,
-    degree=st.integers(min_value=1, max_value=8),
-    right_size=st.integers(min_value=1, max_value=1 << 40),
-    keys=st.lists(vertex, max_size=40),
-)
-def test_flat_neighbors_matches_expander(
-    kernel, seed, degree, right_size, keys
-):
-    graph = SeededFlatExpander(
-        left_size=1 << 62,
-        right_size=right_size,
-        degree=degree,
-        seed=seed,
-    )
-    out = kernel.flat_neighbors(graph._base, degree, right_size, keys)
-    assert isinstance(out, array) and out.typecode == "Q"
-    expected = []
-    for x in keys:
-        expected.extend(graph.neighbors(x))
-    assert list(out) == expected
-
-
-# -- hash families ------------------------------------------------------------
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=small,
-    universe=st.sampled_from(
-        # spans both kernel regimes: p < 2^32 (vector lanes) and the
-        # p > 2^32 exact-fallback path
-        [1 << 10, 1 << 20, 1 << 31, (1 << 34) + 7]
-    ),
-    range_size=st.integers(min_value=1, max_value=1 << 16),
-    independence=st.integers(min_value=2, max_value=8),
-    data=st.data(),
-)
-def test_poly_hash_matches_call(
-    kernel, seed, universe, range_size, independence, data
-):
-    fam = PolynomialHashFamily(
-        universe_size=universe,
-        range_size=range_size,
-        independence=independence,
-        seed=seed,
-    )
-    keys = data.draw(
-        st.lists(st.integers(min_value=0, max_value=universe - 1),
-                 max_size=40)
-    )
-    assert fam.hash_batch(keys, kernel=kernel) == [fam(x) for x in keys]
-    assert kernel.poly_hash(
-        fam.coeffs, fam.p, fam.range_size, keys
-    ) == [fam(x) for x in keys]
 
 
 # -- probe planning -----------------------------------------------------------
