@@ -29,7 +29,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bits import BitVector, decode_chain, encode_chain, required_field_bits
+from repro.bits import (
+    BitReader,
+    BitVector,
+    decode_chain,
+    decode_unary,
+    encode_chain,
+    required_field_bits,
+)
 from repro.core.basic_dict import BasicDictionary
 from repro.core.interface import (
     CapacityExceeded,
@@ -222,43 +229,29 @@ class DynamicDictionary(Dictionary):
     # -- helpers -----------------------------------------------------------------
 
     def _read_level(self, level: int, key: int):
-        """Read the key's ``d`` fields on one level (one parallel I/O)."""
-        locs = self.level_graphs[level].striped_neighbors(key)
-        fields = self.levels[level].read_fields(locs)
-        return locs, fields
-
-    def _read_level_degraded(self, level: int, key: int):
-        """Like :meth:`_read_level` but collects per-field faults.
+        """Read the key's ``d`` fields on one level (one parallel I/O).
 
         Returns ``(locs, fields, failures)`` where ``failures`` maps the
         unreadable ``(stripe, j)`` locations to their :class:`IOFault`;
         those locations are absent from ``fields``.
         """
         locs = self.level_graphs[level].striped_neighbors(key)
-        fields, failures = self.levels[level].read_fields_degraded(locs)
+        fields, failures = self.levels[level].read_fields(locs)
         return locs, fields, failures
 
-    def _free_stripes(self, locs, fields, failures=None) -> List[int]:
+    def _free_stripes(self, locs, fields, failures) -> List[int]:
         # A field whose state is unknown (unreadable block) can never be
         # claimed free: writing into it could clobber another key's chain.
         return sorted(
             stripe
             for (stripe, j) in locs
-            if (failures is None or (stripe, j) not in failures)
-            and fields[(stripe, j)] is None
+            if (stripe, j) not in failures and fields[(stripe, j)] is None
         )
 
-    def _chain_value(self, level: int, key: int, fields, locs, head: int) -> int:
-        by_stripe = {stripe: fields[(stripe, j)] for (stripe, j) in locs}
-        record = decode_chain(
-            by_stripe, head, self.field_bits, self.sigma, self.degree
-        )
-        return record.to_int()
-
-    def _chain_value_degraded(
+    def _chain_value(
         self, level: int, key: int, fields, locs, head: int, failures
     ) -> int:
-        """Decode a chain whose level read lost some fields.
+        """Decode a key's chain from its level read.
 
         The retrieval arrays keep exactly one copy of every chain field, so
         a failure on any stripe the chain actually visits is unrecoverable:
@@ -266,10 +259,8 @@ class DynamicDictionary(Dictionary):
         is not, and we raise rather than return a truncated record.
         Failures on the key's *other* neighbor fields are harmless.
         """
-        if not failures:
-            return self._chain_value(level, key, fields, locs, head)
         by_stripe = {
-            (stripe): fields[(stripe, j)]
+            stripe: fields[(stripe, j)]
             for (stripe, j) in locs
             if (stripe, j) not in failures
         }
@@ -278,6 +269,8 @@ class DynamicDictionary(Dictionary):
                 by_stripe, head, self.field_bits, self.sigma, self.degree
             )
         except (KeyError, TypeError) as exc:
+            if not failures:
+                raise
             raise DegradedLookupError(
                 f"key {key}: chain on level {level} crosses "
                 f"{len(failures)} unreadable field(s); the dynamic levels "
@@ -288,61 +281,89 @@ class DynamicDictionary(Dictionary):
             ) from exc
         return record.to_int()
 
+    def _chain_locs(self, head: int, locs, fields, failures):
+        """Walk a chain from ``head``: ``(chain, leaked)``.
+
+        ``chain`` lists the field locations of the readable links.  The
+        walk stops at the last link, or at a broken one — unreadable,
+        empty, or outside the key's neighborhood — which counts as one
+        ``leaked`` link; the tail beyond it is of unknown length.
+        """
+        idx = {i: j for (i, j) in locs}
+        chain: List[Tuple[int, int]] = []
+        stripe = head
+        while stripe in idx:
+            loc = (stripe, idx[stripe])
+            if loc in failures or fields.get(loc) is None:
+                break
+            chain.append(loc)
+            delta = decode_unary(BitReader(fields[loc]))
+            if delta == 0:
+                return chain, 0
+            stripe += delta
+        return chain, 1
+
     def _clear_chain_best_effort(self, level: int, key: int, head: int):
-        """Clear a chain under faults, leaking what cannot be reached.
+        """Clear a chain, leaking what cannot be reached.
 
         Returns ``(leaked, failures)``.  Fields on unreadable stripes — and
         every field *past* the first unreadable link, since the chain walk
         cannot continue — stay occupied.  That costs capacity (first-fit
         sees them as busy), never correctness: membership no longer points
-        at them.  ``leaked`` counts only the known-lost links; the tail
-        beyond a broken link is of unknown length.
+        at them.  ``leaked`` counts only the known-lost links.  On intact
+        data this is one level read and one write of the whole chain.
         """
-        from repro.bits.bitvector import BitReader
-        from repro.bits.unary import decode_unary
-
-        locs, fields, failures = self._read_level_degraded(level, key)
-        idx = {i: j for (i, j) in locs}
-        stripes: List[int] = []
-        leaked = 0
-        stripe = head
-        while True:
-            if stripe not in idx:
-                leaked += 1  # walk escaped the key's neighborhood: stop
-                break
-            loc = (stripe, idx[stripe])
-            if loc in failures or fields.get(loc) is None:
-                leaked += 1  # broken link: the rest of the chain is orphaned
-                break
-            stripes.append(stripe)
-            delta = decode_unary(BitReader(fields[loc]))
-            if delta == 0:
-                break
-            stripe += delta
-        if stripes:
-            try:
-                self.levels[level].write_fields(
-                    {(s, idx[s]): None for s in stripes}
-                )
-            except DiskFailure:
-                leaked += len(stripes)
+        locs, fields, failures = self._read_level(level, key)
+        chain, leaked = self._chain_locs(head, locs, fields, failures)
+        try:
+            self.levels[level].write_fields(dict.fromkeys(chain))
+        except DiskFailure:
+            leaked += len(chain)
         return leaked, failures
 
-    def _chain_stripes(self, head: int, fields_by_stripe) -> List[int]:
-        """Walk a chain to enumerate its stripes (for clearing)."""
-        from repro.bits.bitvector import BitReader
-        from repro.bits.unary import decode_unary
+    def _clear_chain(self, level: int, key: int, head: int) -> OpCost:
+        """:meth:`_clear_chain_best_effort` in its own span; its cost."""
+        with span(
+            self.machine, "dynamic_dict.clear_chain", level=level
+        ) as clear:
+            leaked, fails = self._clear_chain_best_effort(level, key, head)
+            if leaked or fails:
+                clear.annotate(degraded=True, leaked_fields=leaked)
+        return clear.cost
 
-        stripes = []
-        stripe = head
-        while True:
-            stripes.append(stripe)
-            reader = BitReader(fields_by_stripe[stripe])
-            delta = decode_unary(reader)
-            if delta == 0:
-                break
-            stripe += delta
-        return stripes
+    def _clear_chains(self, level: int, chains) -> OpCost:
+        """Clear many ``(key, head)`` chains of one level in one span (the
+        batch forms); its cost."""
+        with span(
+            self.machine, "dynamic_dict.clear_chain", level=level
+        ) as clear:
+            if self.machine.faults is not None:
+                # Kept fork: per-key clears charge other rounds than one batch.
+                leaked = sum(
+                    self._clear_chain_best_effort(level, key, head)[0]
+                    for key, head in chains
+                )
+            else:
+                locs_map, fields, fails = self._batch_read_level(
+                    level, [key for key, _ in chains], clear
+                )
+                nones: Dict[Tuple[int, int], Any] = {}
+                leaked = 0
+                for key, head in chains:
+                    chain, lost = self._chain_locs(
+                        head, locs_map[key], fields, fails
+                    )
+                    nones.update(dict.fromkeys(chain))
+                    leaked += lost
+                try:
+                    self.levels[level].write_fields(nones)
+                except DiskFailure:
+                    # Membership already stopped pointing at these chains:
+                    # the ops stand, the fields leak — capacity, never lies.
+                    leaked += len(nones)
+            if leaked:
+                clear.annotate(degraded=True, leaked_fields=leaked)
+        return clear.cost
 
     # -- operations ---------------------------------------------------------------
 
@@ -356,27 +377,18 @@ class DynamicDictionary(Dictionary):
             num_levels=self.num_levels,
             membership_bpb=self.membership.buckets.blocks_per_bucket,
         ) as root:
-            degraded = self.machine.faults is not None
             # Phase 1 (parallel): membership probe + speculative level-1 read.
-            # Under faults the speculative read must not raise eagerly: a
-            # lost level-0 field is irrelevant when the key is absent or
-            # lives on a deeper level.
+            # The speculative read reports unreadable fields instead of
+            # raising: a lost level-0 field is irrelevant when the key is
+            # absent or lives on a deeper level.
             with span(self.machine, "dynamic_dict.lookup.phase1", parallel=True):
                 mem = self.membership.lookup(key)
                 with span(
                     self.machine, "dynamic_dict.speculative_read", level=0
                 ) as spec:
-                    if degraded:
-                        locs1, fields1, fails1 = self._read_level_degraded(
-                            0, key
-                        )
-                        if fails1:
-                            spec.annotate(
-                                degraded=True, failed_fields=len(fails1)
-                            )
-                    else:
-                        locs1, fields1 = self._read_level(0, key)
-                        fails1 = {}
+                    locs1, fields1, fails1 = self._read_level(0, key)
+                    if fails1:
+                        spec.annotate(degraded=True, failed_fields=len(fails1))
             cost = OpCost.parallel(mem.cost, spec.cost)
             if not mem.found:
                 root.annotate(found=False)
@@ -387,29 +399,17 @@ class DynamicDictionary(Dictionary):
                 return LookupResult(False, None, cost)
             level, head = mem.value
             if level == 0:
-                value = self._chain_value_degraded(
-                    0, key, fields1, locs1, head, fails1
-                )
+                value = self._chain_value(0, key, fields1, locs1, head, fails1)
             else:
                 with span(
                     self.machine, "dynamic_dict.level_read", level=level
                 ) as extra:
-                    if degraded:
-                        locs, fields, fails = self._read_level_degraded(
-                            level, key
-                        )
-                        if fails:
-                            extra.annotate(
-                                degraded=True, failed_fields=len(fails)
-                            )
-                    else:
-                        locs, fields = self._read_level(level, key)
-                        fails = {}
+                    locs, fields, fails = self._read_level(level, key)
+                    if fails:
+                        extra.annotate(degraded=True, failed_fields=len(fails))
                 cost = cost + extra.cost
-                value = self._chain_value_degraded(
-                    level, key, fields, locs, head, fails
-                )
-            if degraded and (fails1 or (level != 0 and fails)):
+                value = self._chain_value(level, key, fields, locs, head, fails)
+            if fails1 or (level != 0 and fails):
                 root.annotate(degraded=True)
             root.annotate(found=True, level=level)
             self.stats.lookups += 1
@@ -435,26 +435,19 @@ class DynamicDictionary(Dictionary):
             num_levels=self.num_levels,
             membership_bpb=self.membership.buckets.blocks_per_bucket,
         ) as root:
-            degraded = self.machine.faults is not None
             # Retrieval + membership run on disjoint disk groups in parallel.
             with span(self.machine, "dynamic_dict.insert.place", parallel=True):
                 with span(self.machine, "dynamic_dict.first_fit") as ret:
                     placed = None
                     probe_failures = 0
                     for level in range(self.num_levels):
-                        if degraded:
-                            # Unreadable fields count as occupied (see
-                            # _free_stripes); a level with faults can still
-                            # accept the key if enough *verified-free*
-                            # fields remain, so first-fit degrades to
-                            # placing one level deeper instead of refusing.
-                            locs, fields, fails = self._read_level_degraded(
-                                level, key
-                            )
-                            probe_failures += len(fails)
-                        else:
-                            locs, fields = self._read_level(level, key)
-                            fails = None
+                        # Unreadable fields count as occupied (see
+                        # _free_stripes); a level with faults can still
+                        # accept the key if enough *verified-free* fields
+                        # remain, so first-fit degrades to placing one
+                        # level deeper instead of refusing.
+                        locs, fields, fails = self._read_level(level, key)
+                        probe_failures += len(fails)
                         free = self._free_stripes(locs, fields, fails)
                         if len(free) >= self.m_need:
                             placed = (level, free[: self.m_need], locs)
@@ -493,20 +486,11 @@ class DynamicDictionary(Dictionary):
                 with span(
                     self.machine, "dynamic_dict.clear_chain", level=old_level
                 ) as clear:
-                    if degraded:
-                        leaked, _ = self._clear_chain_best_effort(
-                            old_level, key, old_head
-                        )
-                        if leaked:
-                            clear.annotate(degraded=True, leaked_fields=leaked)
-                    else:
-                        locs_o, fields_o = self._read_level(old_level, key)
-                        by_stripe = {s: fields_o[(s, j)] for (s, j) in locs_o}
-                        old_stripes = self._chain_stripes(old_head, by_stripe)
-                        idx = {i: j for (i, j) in locs_o}
-                        self.levels[old_level].write_fields(
-                            {(s, idx[s]): None for s in old_stripes}
-                        )
+                    leaked, _ = self._clear_chain_best_effort(
+                        old_level, key, old_head
+                    )
+                    if leaked:
+                        clear.annotate(degraded=True, leaked_fields=leaked)
                 cost = cost + clear.cost
             else:
                 self.size += 1
@@ -534,6 +518,8 @@ class DynamicDictionary(Dictionary):
                 root.annotate(found=False)
                 return mem.cost
             level, head = mem.value
+            # Kept fork: the membership-first order charges serially what
+            # the parallel order overlaps.
             if self.machine.faults is not None:
                 # Degraded order: retire the membership entry *first* (it
                 # refuses upfront when its buckets are unreadable, leaving
@@ -541,34 +527,20 @@ class DynamicDictionary(Dictionary):
                 # A fault mid-clear leaks fields but the key is already
                 # gone — no lookup can ever see the half-cleared chain.
                 del_cost = self.membership.delete(key)
+                cost = mem.cost + del_cost + self._clear_chain(level, key, head)
+            else:
+                # Membership delete and chain clearing hit disjoint disk
+                # groups; the initial membership read is serial (it
+                # supplies the level).
                 with span(
-                    self.machine, "dynamic_dict.clear_chain", level=level
-                ) as clear:
-                    leaked, fails = self._clear_chain_best_effort(
-                        level, key, head
-                    )
-                    if leaked or fails:
-                        clear.annotate(degraded=True, leaked_fields=leaked)
-                self.size -= 1
-                root.annotate(found=True, level=level)
-                return mem.cost + del_cost + clear.cost
-            # Membership delete and chain clearing hit disjoint disk groups;
-            # the initial membership read is serial (it supplies the level).
-            with span(self.machine, "dynamic_dict.delete.apply", parallel=True):
-                with span(
-                    self.machine, "dynamic_dict.clear_chain", level=level
-                ) as clear:
-                    locs, fields = self._read_level(level, key)
-                    by_stripe = {s: fields[(s, j)] for (s, j) in locs}
-                    stripes = self._chain_stripes(head, by_stripe)
-                    idx = {i: j for (i, j) in locs}
-                    self.levels[level].write_fields(
-                        {(s, idx[s]): None for s in stripes}
-                    )
-                del_cost = self.membership.delete(key)
+                    self.machine, "dynamic_dict.delete.apply", parallel=True
+                ):
+                    clear_cost = self._clear_chain(level, key, head)
+                    del_cost = self.membership.delete(key)
+                cost = mem.cost + OpCost.parallel(clear_cost, del_cost)
             self.size -= 1
             root.annotate(found=True, level=level)
-            return mem.cost + OpCost.parallel(clear.cost, del_cost)
+            return cost
 
     # -- batched operations ----------------------------------------------------------
     #
@@ -591,13 +563,9 @@ class DynamicDictionary(Dictionary):
         wanted = list(
             dict.fromkeys(loc for locs in locs_map.values() for loc in locs)
         )
-        if self.machine.faults is None:
-            fields = self.levels[level].read_fields(wanted)
-            failures: Dict[Tuple[int, int], Exception] = {}
-        else:
-            fields, failures = self.levels[level].read_fields_degraded(wanted)
-            if failures and handle.span is not None:
-                handle.annotate(degraded=True, failed_fields=len(failures))
+        fields, failures = self.levels[level].read_fields(wanted)
+        if failures and handle.span is not None:
+            handle.annotate(degraded=True, failed_fields=len(failures))
         annotate_round_packing(
             handle, self.machine, self.levels[level], locs_map.values()
         )
@@ -608,8 +576,11 @@ class DynamicDictionary(Dictionary):
 
         Phase 1 runs the batched membership probe in parallel with one
         speculative batched read of every key's level-1 fields; keys that
-        land on deeper levels are grouped and read level by level.  Per-key
-        undecidable outcomes become exception values (PR 3 semantics).
+        land on deeper levels are grouped and read level by level.  An
+        unreadable block — injected, or a bad frame the file executor
+        reported — fails only the keys whose chains cross it, as
+        :class:`DegradedLookupError` values; the batch never fails
+        wholesale.
         """
         keys = list(dict.fromkeys(keys))
         for key in keys:
@@ -668,7 +639,7 @@ class DynamicDictionary(Dictionary):
                     locs = locs_map[key]
                 mine = {loc: fails[loc] for loc in locs if loc in fails}
                 try:
-                    value = self._chain_value_degraded(
+                    value = self._chain_value(
                         level, key, fields, locs, head, mine
                     )
                 except DegradedLookupError as exc:
@@ -708,7 +679,6 @@ class DynamicDictionary(Dictionary):
             num_levels=self.num_levels,
             batch_size=len(items),
         ) as root:
-            degraded = self.machine.faults is not None
             mem_out, mem_cost = self.membership.batch_lookup(list(items))
             cost = mem_cost
             out: Dict[int, Any] = {}
@@ -846,48 +816,9 @@ class DynamicDictionary(Dictionary):
                 # Clear superseded chains.  Membership already points at the
                 # new chains, so faults here only leak fields.
                 for old_level in sorted(to_clear):
-                    with span(
-                        self.machine,
-                        "dynamic_dict.clear_chain",
-                        level=old_level,
-                    ) as clear:
-                        if degraded:
-                            leaked_total = 0
-                            for key, old_head in to_clear[old_level]:
-                                leaked, _ = self._clear_chain_best_effort(
-                                    old_level, key, old_head
-                                )
-                                leaked_total += leaked
-                            if leaked_total:
-                                clear.annotate(
-                                    degraded=True, leaked_fields=leaked_total
-                                )
-                        else:
-                            lkeys = [k for k, _ in to_clear[old_level]]
-                            locs_map, fields, _ = self._batch_read_level(
-                                old_level, lkeys, clear
-                            )
-                            nones: Dict[Tuple[int, int], Any] = {}
-                            for key, old_head in to_clear[old_level]:
-                                locs = locs_map[key]
-                                idx = {i: j for (i, j) in locs}
-                                by_stripe = {
-                                    s: fields[(s, j)] for (s, j) in locs
-                                }
-                                for s in self._chain_stripes(
-                                    old_head, by_stripe
-                                ):
-                                    nones[(s, idx[s])] = None
-                            try:
-                                self.levels[old_level].write_fields(nones)
-                            except DiskFailure:
-                                # The new chains and membership entries are
-                                # already committed: the upserts stand, the
-                                # old fields leak — capacity, never lies.
-                                clear.annotate(
-                                    degraded=True, leaked_fields=len(nones)
-                                )
-                    cost = cost + clear.cost
+                    cost = cost + self._clear_chains(
+                        old_level, to_clear[old_level]
+                    )
             root.annotate(
                 batch_placed=len(written), size=self.size
             )
@@ -912,7 +843,6 @@ class DynamicDictionary(Dictionary):
             num_levels=self.num_levels,
             batch_size=len(keys),
         ) as root:
-            degraded = self.machine.faults is not None
             mem_out, mem_cost = self.membership.batch_lookup(keys)
             cost = mem_cost
             out: Dict[int, Any] = {}
@@ -942,44 +872,7 @@ class DynamicDictionary(Dictionary):
                     level, head = present[key]
                     to_clear.setdefault(level, []).append((key, head))
                 for level in sorted(to_clear):
-                    with span(
-                        self.machine, "dynamic_dict.clear_chain", level=level
-                    ) as clear:
-                        if degraded:
-                            leaked_total = 0
-                            for key, head in to_clear[level]:
-                                leaked, _ = self._clear_chain_best_effort(
-                                    level, key, head
-                                )
-                                leaked_total += leaked
-                            if leaked_total:
-                                clear.annotate(
-                                    degraded=True, leaked_fields=leaked_total
-                                )
-                        else:
-                            lkeys = [k for k, _ in to_clear[level]]
-                            locs_map, fields, _ = self._batch_read_level(
-                                level, lkeys, clear
-                            )
-                            nones: Dict[Tuple[int, int], Any] = {}
-                            for key, head in to_clear[level]:
-                                locs = locs_map[key]
-                                idx = {i: j for (i, j) in locs}
-                                by_stripe = {
-                                    s: fields[(s, j)] for (s, j) in locs
-                                }
-                                for s in self._chain_stripes(head, by_stripe):
-                                    nones[(s, idx[s])] = None
-                            try:
-                                self.levels[level].write_fields(nones)
-                            except DiskFailure:
-                                # Membership already retired these keys: the
-                                # deletes stand, the fields leak (capacity,
-                                # never correctness).
-                                clear.annotate(
-                                    degraded=True, leaked_fields=len(nones)
-                                )
-                    cost = cost + clear.cost
+                    cost = cost + self._clear_chains(level, to_clear[level])
             self.size -= removed
             root.annotate(batch_removed=removed, size=self.size)
         return out, cost

@@ -417,13 +417,9 @@ class StaticDictionary(Dictionary):
             case="b",
         ) as m:
             locs = self.graph.striped_neighbors(key)
-            if self.machine.faults is None:
-                fields = self.array.read_fields(locs)
-                failures: Dict[Tuple[int, int], Exception] = {}
-            else:
-                fields, failures = self.array.read_fields_degraded(locs)
-                if failures and m.span is not None:
-                    m.annotate(degraded=True, failed_fields=len(failures))
+            fields, failures = self.array.read_fields(locs)
+            if failures and m.span is not None:
+                m.annotate(degraded=True, failed_fields=len(failures))
             found, value = self._settle_case_b(key, locs, fields, failures, m)
             if m.span is not None:
                 m.annotate(found=found)
@@ -589,49 +585,65 @@ class StaticDictionary(Dictionary):
                 return mem_result
             with span(self.machine, "static_dict.field_read") as m:
                 locs = self.graph.striped_neighbors(key)
-                if self.machine.faults is None:
-                    fields = self.array.read_fields(locs)
-                    failures: Dict[Tuple[int, int], Exception] = {}
-                else:
-                    fields, failures = self.array.read_fields_degraded(locs)
-                    if failures and m.span is not None:
-                        m.annotate(degraded=True, failed_fields=len(failures))
+                fields, failures = self.array.read_fields(locs)
+                if failures and m.span is not None:
+                    m.annotate(degraded=True, failed_fields=len(failures))
         cost = OpCost.parallel(mem_result.cost, m.cost)
         if not mem_result.found:
             # Sound regardless of field failures: membership alone decides
             # absence, and it answered (or raised) on its own redundancy.
             return LookupResult(False, None, cost)
-        head = mem_result.value
-        if failures:
+        value = self._settle_case_a(key, mem_result.value, locs, fields, failures)
+        return LookupResult(True, value, cost)
+
+    def _settle_case_a(
+        self,
+        key: int,
+        head: int,
+        locs: List[Tuple[int, int]],
+        fields: Dict[Tuple[int, int], Any],
+        failures: Dict[Tuple[int, int], Exception],
+    ) -> int:
+        """Decode a present key's record chain from prefetched fields.
+
+        ``fields``/``failures`` may cover more locations than this key's.
+        A failure on a stripe the assignment gave the key loses a chain
+        link, and case 'a' keeps no spare copies: raise rather than return
+        a truncated record.  Failures on its other neighbors are harmless.
+        """
+        mine = {loc: failures[loc] for loc in locs if loc in failures}
+        if mine:
             assigned = set(self.assignment.get(key, ()))
-            lost = [loc for loc in failures if loc[0] in assigned]
+            lost = [loc for loc in mine if loc[0] in assigned]
             if lost:
                 raise DegradedLookupError(
                     f"key {key} is present but {len(lost)} of its chained "
                     f"record fields are unreadable (case 'a' unary chains "
                     f"keep no spare copies)",
                     key=key,
-                    failures=failures,
+                    failures=mine,
                     membership=True,
                 )
         by_stripe = {
             stripe: fields[(stripe, j)]
             for (stripe, j) in locs
-            if (stripe, j) not in failures
+            if (stripe, j) not in mine
         }
         record = decode_chain(
             by_stripe, head, self.field_bits, self.sigma, self.degree
         )
-        return LookupResult(True, record.to_int(), cost)
+        return record.to_int()
 
     def batch_lookup(self, keys):
         """Answer many lookups with one round-packed field read.
 
         The assigned fields of every key in the batch are fetched as a
         single batch; shared blocks deduplicate, so ``m`` uniform one-probe
-        lookups cost ``⌈m/D⌉ + O(1)`` rounds instead of ``m``.  Per-key
-        undecidable outcomes under faults become :class:`DegradedLookupError`
-        values (PR 3 semantics); the batch never fails wholesale.
+        lookups cost ``⌈m/D⌉ + O(1)`` rounds instead of ``m``.  An
+        unreadable block — injected, or a bad frame the file executor
+        reported — fails only the keys that cannot be decided without it,
+        as :class:`DegradedLookupError` values; the batch never fails
+        wholesale.
         """
         keys = list(dict.fromkeys(keys))
         for key in keys:
@@ -653,13 +665,9 @@ class StaticDictionary(Dictionary):
             wanted = list(
                 dict.fromkeys(loc for locs in all_locs.values() for loc in locs)
             )
-            if self.machine.faults is None:
-                fields = self.array.read_fields(wanted)
-                failures: Dict[Tuple[int, int], Exception] = {}
-            else:
-                fields, failures = self.array.read_fields_degraded(wanted)
-                if failures and m.span is not None:
-                    m.annotate(degraded=True, failed_fields=len(failures))
+            fields, failures = self.array.read_fields(wanted)
+            if failures and m.span is not None:
+                m.annotate(degraded=True, failed_fields=len(failures))
             annotate_round_packing(m, self.machine, self.array, all_locs.values())
             settled: Dict[int, Any] = {}
             for key in keys:
@@ -702,13 +710,9 @@ class StaticDictionary(Dictionary):
                         loc for locs in all_locs.values() for loc in locs
                     )
                 )
-                if self.machine.faults is None:
-                    fields = self.array.read_fields(wanted)
-                    failures: Dict[Tuple[int, int], Exception] = {}
-                else:
-                    fields, failures = self.array.read_fields_degraded(wanted)
-                    if failures and m.span is not None:
-                        m.annotate(degraded=True, failed_fields=len(failures))
+                fields, failures = self.array.read_fields(wanted)
+                if failures and m.span is not None:
+                    m.annotate(degraded=True, failed_fields=len(failures))
                 annotate_round_packing(
                     m, self.machine, self.array, all_locs.values()
                 )
@@ -724,30 +728,14 @@ class StaticDictionary(Dictionary):
                 # decides absence on its own redundancy.
                 out[key] = LookupResult(False, None, cost)
                 continue
-            locs = all_locs[key]
-            mine = {loc: failures[loc] for loc in locs if loc in failures}
-            if mine:
-                assigned = set(self.assignment.get(key, ()))
-                lost = [loc for loc in mine if loc[0] in assigned]
-                if lost:
-                    out[key] = DegradedLookupError(
-                        f"key {key} is present but {len(lost)} of its "
-                        f"chained record fields are unreadable (case 'a' "
-                        f"unary chains keep no spare copies)",
-                        key=key,
-                        failures=mine,
-                        membership=True,
-                    )
-                    continue
-            by_stripe = {
-                stripe: fields[(stripe, j)]
-                for (stripe, j) in locs
-                if (stripe, j) not in failures
-            }
-            record = decode_chain(
-                by_stripe, mem.value, self.field_bits, self.sigma, self.degree
-            )
-            out[key] = LookupResult(True, record.to_int(), cost)
+            try:
+                value = self._settle_case_a(
+                    key, mem.value, all_locs[key], fields, failures
+                )
+            except DegradedLookupError as exc:
+                out[key] = exc
+            else:
+                out[key] = LookupResult(True, value, cost)
         return out, cost
 
     def insert(self, key: int, value: int = None) -> OpCost:
@@ -797,11 +785,11 @@ class StaticDictionary(Dictionary):
         Only the replicated case-'b' layout keeps spare copies: each slot
         of the lost block held some key's full ``(ident, record)`` field,
         and the same pair lives on every *other* stripe the assignment
-        gave that key.  Reads go through the degraded path (surviving
-        replicas may themselves be faulted) and each slot is restored
-        only when an identifier wins a strict majority of the key's
-        ``m`` assigned fields — the same decode bar as a lookup, so a
-        reconstructed block can never contain data a lookup would not
+        gave that key.  The read reports unreadable replicas instead of
+        raising (surviving replicas may themselves be faulted), and each
+        slot is restored only when an identifier wins a strict majority of
+        the key's ``m`` assigned fields — the same decode bar as a lookup,
+        so a reconstructed block can never contain data a lookup would not
         have vouched for.  Slots with no surviving majority stay empty
         (loud data loss on next lookup, never silent garbage).
 
@@ -844,7 +832,7 @@ class StaticDictionary(Dictionary):
                 wanted[loc] = None
         if not slot_plan:
             return [None] * fpb, 0
-        values, _failures = arr.read_fields_degraded(wanted)
+        values, _failures = arr.read_fields(wanted)
         payload: List[Any] = [None] * fpb
         bar = self.m_need / 2
         for slot, key, locs in slot_plan:

@@ -423,31 +423,6 @@ class AbstractDiskMachine:
     #: PDM rounds may touch each disk once; the head model has no such rule.
     rounds_need_distinct_disks = True
 
-    def read_rounds(
-        self, addrs: Iterable[Addr], *, salt: int = 0
-    ) -> Tuple[Dict[Addr, Block], RoundPlan]:
-        """Batched read returning both the blocks and the round schedule.
-
-        Identical cost and fault semantics to :meth:`read_blocks`; the plan
-        sees the raw request list so its ``duplicates`` counter reports the
-        dedup savings to the batch dictionary operations.  With a buffer
-        pool attached, cached addresses are dropped from the plan *before*
-        rounds are packed — hits cost zero I/Os, so the schedule covers
-        only the misses the machine will actually charge."""
-        requests = [tuple(a) for a in addrs]
-        plan = self.plan_rounds(self._plan_requests(requests), salt=salt)
-        return self.read_blocks(requests), plan
-
-    def read_rounds_degraded(
-        self, addrs: Iterable[Addr], *, salt: int = 0
-    ) -> Tuple[Dict[Addr, Block], Dict[Addr, "IOFault"], RoundPlan]:
-        """Fault-tolerant :meth:`read_rounds`; see
-        :meth:`read_blocks_degraded` for the ``(blocks, failures)`` split."""
-        requests = [tuple(a) for a in addrs]
-        plan = self.plan_rounds(self._plan_requests(requests), salt=salt)
-        blocks, failures = self.read_blocks_degraded(requests)
-        return blocks, failures, plan
-
     def _plan_requests(self, requests: List[Addr]) -> List[Addr]:
         """The requests a round plan should cover: all of them uncached,
         only the (to-be-charged) misses when a buffer pool is attached."""

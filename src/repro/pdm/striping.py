@@ -115,49 +115,38 @@ class StripedFieldArray:
 
     # -- I/O ------------------------------------------------------------------
 
-    def read_fields(self, locs: Iterable[FieldLoc]) -> Dict[FieldLoc, Any]:
-        """Fetch the given fields; ``None`` denotes an empty field.
+    def read_fields(
+        self, locs: Iterable[FieldLoc]
+    ) -> Tuple[Dict[FieldLoc, Any], Dict[FieldLoc, Any]]:
+        """Fetch the given fields in one planned read.
+
+        Returns ``(values, failures)``: every requested location lands in
+        exactly one map.  ``values`` holds the field (``None`` for an empty
+        one); ``failures`` holds the typed
+        :class:`~repro.pdm.errors.IOFault` of a block that stayed
+        unreadable — an injected fault after retries, or a bad frame the
+        file executor reported.  Callers decide what survived.
 
         Cost: one batched read on the underlying machine (1 parallel I/O when
         at most one block per stripe is involved).
         """
-        locs = [tuple(l) for l in locs]
+        addr_of: Dict[FieldLoc, Tuple[Tuple[int, int], int]] = {}
         for loc in locs:
+            loc = tuple(loc)
             self._check_loc(loc)
-        addr_of = {loc: self._block_addr(loc) for loc in locs}
-        blocks = self.machine.read_blocks(addr for addr, _ in addr_of.values())
-        out: Dict[FieldLoc, Any] = {}
-        for loc, (addr, slot) in addr_of.items():
-            payload = blocks[addr].payload
-            out[loc] = None if payload is None else payload[slot]
-        return out
-
-    def read_fields_degraded(
-        self, locs: Iterable[FieldLoc]
-    ) -> Tuple[Dict[FieldLoc, Any], Dict[FieldLoc, Any]]:
-        """Fault-tolerant variant of :meth:`read_fields`.
-
-        Returns ``(values, failures)``: every requested location lands in
-        exactly one map, failures carrying the typed
-        :class:`~repro.pdm.errors.IOFault` that made its block unreadable.
-        """
-        locs = [tuple(l) for l in locs]
-        for loc in locs:
-            self._check_loc(loc)
-        addr_of = {loc: self._block_addr(loc) for loc in locs}
-        blocks, faults = self.machine.read_blocks_degraded(
-            addr for addr, _ in addr_of.values()
-        )
-        out: Dict[FieldLoc, Any] = {}
+            addr_of[loc] = self._block_addr(loc)
+        unique = list(dict.fromkeys(addr for addr, _ in addr_of.values()))
+        blocks, faults = self.machine.read_planned_blocks(unique)
+        block_of = dict(zip(unique, blocks))
+        values: Dict[FieldLoc, Any] = {}
         failures: Dict[FieldLoc, Any] = {}
         for loc, (addr, slot) in addr_of.items():
-            fault = faults.get(addr)
-            if fault is not None:
-                failures[loc] = fault
+            if addr in faults:
+                failures[loc] = faults[addr]
                 continue
-            payload = blocks[addr].payload
-            out[loc] = None if payload is None else payload[slot]
-        return out, failures
+            payload = block_of[addr].payload
+            values[loc] = None if payload is None else payload[slot]
+        return values, failures
 
     def write_fields(self, assignments: Mapping[FieldLoc, Any]) -> None:
         """Store values into fields (``None`` clears a field).

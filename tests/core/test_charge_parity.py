@@ -1,0 +1,230 @@
+"""Charge parity of the static and dynamic dictionaries, held to digests.
+
+Seeded replays of every read-bearing operation — single and batched
+lookups on both Theorem 6 layouts (case 'a', case 'b' standard and
+replicated) and the Theorem 7 dynamic dictionary's inserts, updates,
+deletes and their batch forms — run healthy and under a
+``FaultPlan.kill_disks`` plan.  Each replay digests:
+
+* the per-op outcomes (values, typed errors);
+* the per-op charged costs;
+* the machine's final :class:`~repro.pdm.iostats.IOStats`;
+* every recorded span tree (names, attributes such as ``degraded``,
+  ``failed_fields`` and ``leaked_fields``, and per-span costs).
+
+The literal digests were captured from the two-path field read (one
+raising read for intact machines, one fault-collecting read under an
+injector) that the single fault-aware read replaced: folding the paths
+together must not move a charged round, a block or a span attribute.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from repro.core.dynamic_dict import DynamicDictionary
+from repro.core.interface import DegradedLookupError, LookupResult
+from repro.core.static_dict import StaticDictionary
+from repro.faults.plan import FaultPlan
+from repro.pdm.faults import attach_faults
+from repro.pdm.machine import ParallelDiskMachine
+from repro.pdm.spans import attach_spans
+
+U = 1 << 16
+SIGMA = 16
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def _items(n):
+    return {(7 + 97 * i) % U: (31 * i) % (1 << SIGMA) for i in range(n)}
+
+
+def _cost(cost):
+    return (
+        cost.read_ios, cost.write_ios, cost.blocks_read, cost.blocks_written,
+        cost.retry_ios, cost.repair_ios,
+    )
+
+
+def _outcome(res):
+    if isinstance(res, LookupResult):
+        return ("ok", res.found, res.value, _cost(res.cost))
+    if isinstance(res, DegradedLookupError):
+        return ("degraded", res.membership)
+    if isinstance(res, Exception):
+        return ("error", type(res).__name__)
+    return ("value", res)
+
+
+def _call(fn, *args):
+    try:
+        res = fn(*args)
+    except Exception as exc:  # typed failures are part of the outcome
+        return _outcome(exc)
+    if isinstance(res, tuple) and len(res) == 2 and isinstance(res[0], dict):
+        out, cost = res
+        return ({k: _outcome(v) for k, v in out.items()}, _cost(cost))
+    if isinstance(res, LookupResult):
+        return _outcome(res)
+    return ("cost", _cost(res))
+
+
+def _absent(items, count):
+    return [k for k in range(1, U, 89) if k not in items][:count]
+
+
+def _attach(machine, killed):
+    recorder = attach_spans(machine)
+    if killed:
+        attach_faults(
+            machine,
+            FaultPlan.kill_disks(killed, num_disks=machine.num_disks).events,
+        )
+    return recorder
+
+
+def _seal(machine, recorder, observed):
+    s = machine.stats
+    return {
+        "outcomes": _digest(observed),
+        "stats": _digest((
+            s.read_ios, s.write_ios, s.blocks_read, s.blocks_written,
+            s.retry_ios, s.repair_ios,
+        )),
+        "spans": _digest([root.to_dict() for root in recorder.roots]),
+    }
+
+
+def _replay_static(case, redundancy, killed):
+    machine = ParallelDiskMachine(16 if case == "a" else 8, 16, item_bits=64)
+    items = _items(48)
+    sd = StaticDictionary.build(
+        machine, items, universe_size=U, sigma=SIGMA, case=case,
+        redundancy=redundancy, degree=8, seed=3,
+    )
+    recorder = _attach(machine, killed)
+    probes = sorted(items)[:16] + _absent(items, 8)
+    random.Random(5).shuffle(probes)
+    observed = [_call(sd.lookup, k) for k in probes]
+    for i in range(0, len(probes), 6):
+        observed.append(_call(sd.batch_lookup, probes[i:i + 6]))
+    return _seal(machine, recorder, observed)
+
+
+def _replay_dynamic(killed):
+    machine = ParallelDiskMachine(16, 16, item_bits=64)
+    d = DynamicDictionary(
+        machine, universe_size=U, capacity=64, sigma=SIGMA, seed=9
+    )
+    items = _items(40)
+    for k, v in sorted(items.items()):
+        d.insert(k, v)
+    recorder = _attach(machine, killed)
+    present = sorted(items)
+    fresh = _absent(items, 12)
+    observed = [_call(d.lookup, k) for k in present[:10] + fresh[:4]]
+    observed.append(_call(d.batch_lookup, present[10:20] + fresh[:3]))
+    for k in fresh[4:7] + present[:4]:  # new keys, then updates
+        observed.append(_call(d.insert, k, (k * 7) % (1 << SIGMA)))
+    for k in present[4:8] + fresh[11:12]:
+        observed.append(_call(d.delete, k))
+    batch = {k: (k * 3) % (1 << SIGMA) for k in fresh[7:10] + present[8:12]}
+    observed.append(_call(d.batch_insert, batch))
+    observed.append(_call(d.batch_delete, present[12:16] + fresh[10:11]))
+    observed.append(_call(d.batch_lookup, present + fresh))
+    observed.append(d.level_occupancy())
+    return _seal(machine, recorder, observed)
+
+
+CONFIGS = {
+    "static-a": lambda killed: _replay_static("a", "standard", killed),
+    "static-b-standard": lambda killed: _replay_static(
+        "b", "standard", killed
+    ),
+    "static-b-replicate": lambda killed: _replay_static(
+        "b", "replicate", killed
+    ),
+    "dynamic": _replay_dynamic,
+    "dynamic-spare-stripe": _replay_dynamic,
+}
+
+#: Disks killed per structure: static case 'a' loses one membership disk
+#: and one field-array disk, case 'b' one field stripe, the dynamic
+#: dictionary one retrieval stripe (its membership group stays up, so
+#: updates and deletes reach the chain clears).  First-fit packs chains
+#: into the lowest free stripes: every chain crosses stripe 1 (disk 9),
+#: and at this occupancy none crosses stripe 6 (disk 14), whose clears
+#: see failed fields but leak nothing.
+KILLED = {
+    "static-a": [2, 9],
+    "static-b-standard": [3],
+    "static-b-replicate": [3],
+    "dynamic": [9],
+    "dynamic-spare-stripe": [14],
+}
+
+SNAPSHOTS = {
+    ("dynamic", "healthy"): {
+        "outcomes": "a7ecb669ee40241a",
+        "stats": "66891a3ae67bb2a7",
+        "spans": "566a731642932b23",
+    },
+    ("dynamic", "kill_disks"): {
+        "outcomes": "4bfd1a6e04ce073b",
+        "stats": "98a9862454431c56",
+        "spans": "f0f832995be19ea8",
+    },
+    ("dynamic-spare-stripe", "healthy"): {
+        "outcomes": "a7ecb669ee40241a",
+        "stats": "66891a3ae67bb2a7",
+        "spans": "566a731642932b23",
+    },
+    ("dynamic-spare-stripe", "kill_disks"): {
+        "outcomes": "798d167d85cc1faa",
+        "stats": "6cd8f7c6459f3fed",
+        "spans": "6871c61f0b13ff00",
+    },
+    ("static-a", "healthy"): {
+        "outcomes": "5fa6ebe0e20f6bed",
+        "stats": "2466267e1f999019",
+        "spans": "4b9b559a8c188e2f",
+    },
+    ("static-a", "kill_disks"): {
+        "outcomes": "64886f83f1627dff",
+        "stats": "6aa46cc208c733cb",
+        "spans": "a08eee892049cc17",
+    },
+    ("static-b-replicate", "healthy"): {
+        "outcomes": "817e21d353216cf3",
+        "stats": "21aab3ed8a2df211",
+        "spans": "17f973ac54ab767c",
+    },
+    ("static-b-replicate", "kill_disks"): {
+        "outcomes": "5ed744402991fe4f",
+        "stats": "b6edd25367af2832",
+        "spans": "5a3aebea04ce169e",
+    },
+    ("static-b-standard", "healthy"): {
+        "outcomes": "4d897ac39d3c45a6",
+        "stats": "fb34229bd76b425d",
+        "spans": "99a960b5ce477a55",
+    },
+    ("static-b-standard", "kill_disks"): {
+        "outcomes": "fad534d8b948f6a4",
+        "stats": "c5cad6d4e6ac2c7f",
+        "spans": "296d9cfd81e27f33",
+    },
+}
+
+
+@pytest.mark.parametrize("faults", ["healthy", "kill_disks"])
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_replay_matches_snapshot(config, faults):
+    killed = KILLED[config] if faults == "kill_disks" else []
+    assert CONFIGS[config](killed) == SNAPSHOTS[(config, faults)]

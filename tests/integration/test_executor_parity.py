@@ -17,8 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dynamic_dict import DynamicDictionary
 from repro.core.facade import ParallelDiskDictionary
+from repro.core.interface import DegradedLookupError, LookupResult
+from repro.core.static_dict import StaticDictionary
 from repro.faults import FaultPlan
+from repro.fs.blockfile import HEADER_SIZE
 from repro.pdm import (
     ParallelDiskHeadMachine,
     ParallelDiskMachine,
@@ -82,7 +86,8 @@ def _drive(machine, seed, *, faults, steps=24):
             except IOFault as exc:
                 footprint.append(("write-fault", type(exc).__name__))
         elif roll < 0.8:
-            blocks, failures, plan = machine.read_rounds_degraded(addrs)
+            plan = machine.plan_rounds(machine._plan_requests(addrs))
+            blocks, failures = machine.read_blocks_degraded(addrs)
             footprint.append((
                 "read",
                 sorted((a, b.payload) for a, b in blocks.items()),
@@ -180,6 +185,110 @@ def test_unknown_executor_name_is_rejected(tmp_path, build):
     with pytest.raises(ValueError, match=r"'simulated', 'file'"):
         build(str(tmp_path / "x"))
     assert not (tmp_path / "x").exists()
+
+
+ITEMS = {(7 + 97 * i) % (1 << 16): (31 * i) % (1 << 16) for i in range(32)}
+
+
+def _static_case(case, redundancy):
+    def build(machine):
+        sd = StaticDictionary.build(
+            machine, ITEMS, universe_size=1 << 16, sigma=16, case=case,
+            redundancy=redundancy, degree=8, seed=3,
+        )
+        return sd, sd.array, sd.graph, sd.assignment[min(ITEMS)][0]
+
+    return build
+
+
+def _dynamic_case(machine):
+    d = DynamicDictionary(
+        machine, universe_size=1 << 16, capacity=64, sigma=16, seed=9
+    )
+    for k, v in sorted(ITEMS.items()):
+        d.insert(k, v)
+    level, head = d.membership.lookup(min(ITEMS)).value
+    return d, d.levels[level], d.level_graphs[level], head
+
+
+def _corrupt_victim_field(machine, array, graph, stripe):
+    """Flip a byte inside the frame holding ``min(ITEMS)``'s field on
+    ``stripe``: the frame's CRC no longer matches."""
+    loc = (stripe, dict(graph.striped_neighbors(min(ITEMS)))[stripe])
+    (disk, block), _slot = array._block_addr(loc)
+    log = machine.executor._logs[disk]
+    offset, _length = log.frame_extent(block)
+    with open(log.path, "r+b") as handle:
+        handle.seek(offset + HEADER_SIZE + 1)
+        byte = handle.read(1)
+        handle.seek(offset + HEADER_SIZE + 1)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+
+
+def _file_machine(tmp_path, num_disks):
+    return ParallelDiskMachine(
+        num_disks, 16, item_bits=64,
+        executor=create_executor("file", directory=str(tmp_path / "disks")),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, num_disks, decidable",
+    [
+        (_static_case("a", "standard"), 16, False),
+        (_static_case("b", "replicate"), 8, True),
+        (_dynamic_case, 16, False),
+    ],
+    ids=["static-a", "static-b-replicate", "dynamic"],
+)
+def test_bad_frame_without_injector_degrades_per_key(
+    tmp_path, build, num_disks, decidable
+):
+    """A CRC-bad frame on the file executor, no injector attached: the
+    field read reports it like any unreadable block, so single and batched
+    lookups agree on a sound answer or a typed DegradedLookupError per key,
+    and never surface the raw IOFault."""
+    machine = _file_machine(tmp_path, num_disks)
+    try:
+        d, array, graph, stripe = build(machine)
+        _corrupt_victim_field(machine, array, graph, stripe)
+        absent = [k for k in range(1, 1 << 16, 89) if k not in ITEMS][:4]
+        keys = sorted(ITEMS)[:12] + absent
+        batched, _cost = d.batch_lookup(keys)
+        for key in keys:
+            try:
+                single = d.lookup(key)
+            except DegradedLookupError as exc:
+                single = exc
+            answers = [single, batched[key]]
+            if isinstance(single, DegradedLookupError):
+                assert all(isinstance(a, DegradedLookupError) for a in answers)
+                continue
+            for answer in answers:
+                assert isinstance(answer, LookupResult), answer
+                assert answer.found == (key in ITEMS)
+                assert answer.value == ITEMS.get(key)
+        if decidable:
+            assert isinstance(batched[min(ITEMS)], LookupResult)
+    finally:
+        machine.close()
+
+
+def test_bad_frame_without_injector_leaks_on_batch_delete(tmp_path):
+    """The batched chain clear walks past nothing it could not read: a
+    chain crossing a CRC-bad frame leaks its fields, and the deletes
+    stand."""
+    machine = _file_machine(tmp_path, 16)
+    try:
+        d, array, graph, stripe = _dynamic_case(machine)
+        _corrupt_victim_field(machine, array, graph, stripe)
+        keys = sorted(ITEMS)[:6]
+        out, _cost = d.batch_delete(keys)
+        assert out == {key: True for key in keys}
+        after, _cost = d.batch_lookup(keys)
+        assert all(not after[key].found for key in keys)
+    finally:
+        machine.close()
 
 
 class TestFileExecutorThreadingSmoke:

@@ -147,7 +147,9 @@ class TestChargingSemantics:
         m.write_blocks([((3, 0), _payload(3), 64)])
         m.cache.invalidate((3, 0))
         before = m.stats.total_ios
-        blocks, plan = m.read_rounds([(0, 0), (1, 0), (2, 0), (3, 0)])
+        addrs = [(0, 0), (1, 0), (2, 0), (3, 0)]
+        plan = m.plan_rounds(m._plan_requests(addrs))
+        blocks = m.read_blocks(addrs)
         assert len(blocks) == 4
         assert plan.num_rounds == 1  # only the miss is scheduled
         assert m.stats.total_ios - before == plan.num_rounds

@@ -48,11 +48,12 @@ class TestFieldArrayGeometry:
 class TestFieldArrayIO:
     def test_unwritten_fields_read_none(self, array):
         out = array.read_fields([(0, 0), (3, 17)])
-        assert out == {(0, 0): None, (3, 17): None}
+        assert out == ({(0, 0): None, (3, 17): None}, {})
 
     def test_write_then_read(self, array):
         array.write_fields({(2, 5): "hello", (7, 63): 1234})
-        out = array.read_fields([(2, 5), (7, 63)])
+        out, failures = array.read_fields([(2, 5), (7, 63)])
+        assert failures == {}
         assert out[(2, 5)] == "hello"
         assert out[(7, 63)] == 1234
 
@@ -65,7 +66,7 @@ class TestFieldArrayIO:
     def test_write_none_clears(self, array):
         array.write_fields({(1, 1): "x"})
         array.write_fields({(1, 1): None})
-        assert array.read_fields([(1, 1)])[(1, 1)] is None
+        assert array.read_fields([(1, 1)])[0][(1, 1)] is None
 
     def test_fields_in_same_block_one_io(self, array, machine):
         # Indices 0 and 1 of a stripe share a block (fields_per_block = 32).
@@ -104,8 +105,8 @@ class TestTwoArraysShareMachine:
         b = StripedFieldArray(machine, stripes=8, stripe_size=8, field_bits=64)
         a.write_fields({(0, 0): "from-a"})
         b.write_fields({(0, 0): "from-b"})
-        assert a.read_fields([(0, 0)])[(0, 0)] == "from-a"
-        assert b.read_fields([(0, 0)])[(0, 0)] == "from-b"
+        assert a.read_fields([(0, 0)])[0][(0, 0)] == "from-a"
+        assert b.read_fields([(0, 0)])[0][(0, 0)] == "from-b"
 
 
 @pytest.fixture

@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bits import BitVector
+from repro.faults.plan import FaultPlan
+from repro.pdm.errors import DiskFailure
+from repro.pdm.faults import attach_faults
 from repro.pdm.machine import ParallelDiskMachine
 from repro.pdm.striping import StripedFieldArray
 
@@ -15,8 +18,13 @@ value = st.one_of(st.none(), st.integers(0, 2**16), st.text(max_size=4))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(loc, value), max_size=40))
-def test_field_array_matches_dict_model(writes):
+@given(
+    st.lists(st.tuples(loc, value), max_size=40),
+    st.one_of(st.none(), st.integers(0, STRIPES - 1)),
+)
+def test_field_array_matches_dict_model(writes, dead_stripe):
+    """Reads return the model's fields; with ``dead_stripe`` down, every
+    location on it lands in ``failures`` only."""
     machine = ParallelDiskMachine(STRIPES, 16, item_bits=64)
     array = StripedFieldArray(
         machine,
@@ -34,9 +42,19 @@ def test_field_array_matches_dict_model(writes):
     all_locs = [
         (s, i) for s in range(STRIPES) for i in range(STRIPE_SIZE)
     ]
-    contents = array.read_fields(all_locs)
+    if dead_stripe is not None:
+        attach_faults(
+            machine,
+            FaultPlan.kill_disks([dead_stripe], num_disks=STRIPES).events,
+        )
+    contents, failures = array.read_fields(all_locs)
     for location in all_locs:
-        assert contents[location] == model.get(location)
+        if location[0] == dead_stripe:
+            assert location not in contents
+            assert isinstance(failures[location], DiskFailure)
+        else:
+            assert location not in failures
+            assert contents[location] == model.get(location)
     assert array.occupied_fields() == len(model)
 
 

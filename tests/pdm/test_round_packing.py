@@ -138,11 +138,12 @@ class TestInvariants:
 
 
 class TestMachineBatchSurface:
-    def test_read_rounds_returns_blocks_and_plan(self, machine):
+    def test_plan_and_read_agree_on_rounds(self, machine):
         addrs = [(d, 0) for d in range(4)]
         machine.write_blocks([(a, [("x", a)], 64) for a in addrs])
         before = machine.stats.read_ios
-        blocks, plan = machine.read_rounds(addrs + addrs)
+        plan = machine.plan_rounds(machine._plan_requests(addrs + addrs))
+        blocks = machine.read_blocks(addrs + addrs)
         assert plan.num_rounds == 1
         assert plan.duplicates == 4
         assert machine.stats.read_ios - before == 1
