@@ -6,8 +6,8 @@ The package is organised bottom-up:
 
 * :mod:`repro.pdm` — the parallel disk model simulator (the cost model all
   theorems of the paper are stated in).
-* :mod:`repro.bits` — bit vectors and the unary/field codecs used by the
-  one-probe static dictionary of Theorem 6(a).
+* :mod:`repro.bits` — the int field codecs (unary-pointer chains, record
+  fragments) used by the one-probe static dictionary of Theorem 6(a).
 * :mod:`repro.expanders` — unbalanced bipartite expander graphs: seeded
   random striped expanders, verification, existence bounds, and the
   semi-explicit telescope-product construction of Section 5.

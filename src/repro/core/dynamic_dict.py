@@ -30,10 +30,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bits import (
-    BitReader,
-    BitVector,
+    chain_delta,
     decode_chain,
-    decode_unary,
     encode_chain,
     required_field_bits,
 )
@@ -265,7 +263,7 @@ class DynamicDictionary(Dictionary):
             if (stripe, j) not in failures
         }
         try:
-            record = decode_chain(
+            return decode_chain(
                 by_stripe, head, self.field_bits, self.sigma, self.degree
             )
         except (KeyError, TypeError) as exc:
@@ -279,7 +277,6 @@ class DynamicDictionary(Dictionary):
                 failures=dict(failures),
                 membership=True,
             ) from exc
-        return record.to_int()
 
     def _chain_locs(self, head: int, locs, fields, failures):
         """Walk a chain from ``head``: ``(chain, leaked)``.
@@ -297,7 +294,7 @@ class DynamicDictionary(Dictionary):
             if loc in failures or fields.get(loc) is None:
                 break
             chain.append(loc)
-            delta = decode_unary(BitReader(fields[loc]))
+            delta = chain_delta(fields[loc], self.field_bits)
             if delta == 0:
                 return chain, 0
             stripe += delta
@@ -463,8 +460,9 @@ class DynamicDictionary(Dictionary):
                         )
                     level, stripes, locs = placed
                     ret.annotate(level=level)
-                    record = BitVector.from_int(value, self.sigma)
-                    encoded = encode_chain(record, stripes, self.field_bits)
+                    encoded = encode_chain(
+                        value, self.sigma, stripes, self.field_bits
+                    )
                     stripe_index = {i: j for (i, j) in locs}
                     self.levels[level].write_fields(
                         {(s, stripe_index[s]): bits for s, bits in encoded.items()}
@@ -755,8 +753,9 @@ class DynamicDictionary(Dictionary):
                 writes: Dict[Tuple[int, int], Any] = {}
                 for key in by_level[level]:
                     _, stripes, idx = placements[key]
-                    record = BitVector.from_int(items[key], self.sigma)
-                    encoded = encode_chain(record, stripes, self.field_bits)
+                    encoded = encode_chain(
+                        items[key], self.sigma, stripes, self.field_bits
+                    )
                     writes.update(
                         {(s, idx[s]): bits for s, bits in encoded.items()}
                     )
@@ -911,8 +910,9 @@ class DynamicDictionary(Dictionary):
             writes = {}
             membership_items = {}
             for key, stripes in result.assignment.items():
-                record = BitVector.from_int(items[key], self.sigma)
-                encoded = encode_chain(record, list(stripes), self.field_bits)
+                encoded = encode_chain(
+                    items[key], self.sigma, stripes, self.field_bits
+                )
                 idx = {i: j for (i, j) in graph.striped_neighbors(key)}
                 for stripe, bits in encoded.items():
                     writes[(stripe, idx[stripe])] = bits

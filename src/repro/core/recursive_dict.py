@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.bits import BitVector
+from repro.bits import join_record, split_record
 from repro.core.interface import CapacityExceeded, Dictionary, LookupResult
 from repro.core.static_dict import fields_needed
 from repro.expanders.random_graph import SeededRandomExpander
@@ -187,21 +187,6 @@ class RecursiveLoadBalancedDictionary(Dictionary):
                 brute.extend(payload)
         return per_level, brute
 
-    def _fragments(self, value: int) -> List[BitVector]:
-        record = BitVector.from_int(value, self.sigma)
-        return [
-            record[t * self.frag_bits : (t + 1) * self.frag_bits]
-            for t in range(self.k)
-        ]
-
-    @staticmethod
-    def _reassemble(frags: List[Tuple[int, BitVector]], sigma: int) -> int:
-        frags.sort()
-        record = BitVector()
-        for _, frag in frags:
-            record = record + frag
-        return record[:sigma].to_int()
-
     def _write_brute(self, records: List[Tuple[int, int]]) -> None:
         if len(records) > self.brute_capacity:
             raise CapacityExceeded(
@@ -242,9 +227,11 @@ class RecursiveLoadBalancedDictionary(Dictionary):
                 if k2 == key
             ]
             if frags:
-                return LookupResult(
-                    True, self._reassemble(frags, self.sigma), m.cost
+                frags.sort()
+                value = join_record(
+                    [frag for _, frag in frags], self.sigma, self.frag_bits
                 )
+                return LookupResult(True, value, m.cost)
         return LookupResult(False, None, m.cost)
 
     def insert(self, key: int, value: int = None) -> OpCost:
@@ -270,7 +257,7 @@ class RecursiveLoadBalancedDictionary(Dictionary):
                 )
 
             placed_level = None
-            frags = self._fragments(value)
+            frags = split_record(value, self.sigma, self.frag_bits, self.k)
             for level, (locs, contents) in enumerate(per_level):
                 store = self.levels_store[level]
                 # Greedy k-choice: repeatedly put the next fragment into

@@ -32,10 +32,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bits import (
-    BitVector,
     decode_chain,
     encode_chain,
+    join_record,
     required_field_bits,
+    split_record,
 )
 from repro.core.basic_dict import BasicDictionary
 from repro.core.interface import (
@@ -299,10 +300,10 @@ class StaticDictionary(Dictionary):
         if case == "b":
             self.membership = None
             if redundancy == "replicate":
-                frag_bits = sigma
+                self.frag_bits = sigma
             else:
-                frag_bits = math.ceil(sigma / self.m_need) if sigma else 0
-            self.field_bits = self.ident_bits + max(frag_bits, 0)
+                self.frag_bits = math.ceil(sigma / self.m_need)
+            self.field_bits = self.ident_bits + self.frag_bits
             self.array = StripedFieldArray(
                 machine,
                 stripes=degree,
@@ -353,38 +354,31 @@ class StaticDictionary(Dictionary):
 
     # -- construction fills ---------------------------------------------------
 
-    def _record_bits(self, value: int) -> BitVector:
-        return BitVector.from_int(value, self.sigma)
-
     def _fill_case_b(self, items: Mapping[int, int]) -> None:
         replicate = self.redundancy == "replicate"
-        frag_w = math.ceil(self.sigma / self.m_need) if self.sigma else 0
-        writes: Dict[Tuple[int, int], Tuple[int, BitVector]] = {}
+        writes: Dict[Tuple[int, int], Tuple[int, int]] = {}
         stripe_index = self._stripe_index_map()
         for key, stripes in self.assignment.items():
-            record = self._record_bits(items[key])
+            value = items[key]
+            if replicate:  # every field holds the whole record
+                frags = split_record(value, self.sigma, self.sigma, 1) * len(stripes)
+            else:
+                frags = split_record(value, self.sigma, self.frag_bits, self.m_need)
             ident = self._ident[key]
-            for t, stripe in enumerate(stripes):
-                if replicate:
-                    frag = record if self.sigma else BitVector()
-                else:
-                    frag = (
-                        record[t * frag_w : (t + 1) * frag_w]
-                        if frag_w
-                        else BitVector()
-                    )
+            for stripe, frag in zip(stripes, frags):
                 writes[(stripe, stripe_index[key][stripe])] = (ident, frag)
         self.array.write_fields(writes)
 
     def _fill_case_a(self, items: Mapping[int, int]) -> None:
         stripe_index = self._stripe_index_map()
-        writes: Dict[Tuple[int, int], BitVector] = {}
+        writes: Dict[Tuple[int, int], int] = {}
         heads: Dict[int, int] = {}
         for key, stripes in self.assignment.items():
             heads[key] = stripes[0]
             if self.array is not None:
-                record = self._record_bits(items[key])
-                encoded = encode_chain(record, list(stripes), self.field_bits)
+                encoded = encode_chain(
+                    items[key], self.sigma, stripes, self.field_bits
+                )
                 for stripe, contents in encoded.items():
                     writes[(stripe, stripe_index[key][stripe])] = contents
         # Static construction: fill the membership dictionary with batched
@@ -487,21 +481,15 @@ class StaticDictionary(Dictionary):
                 and fields[(stripe, j)][0] == majority
             ]
             frags.sort()
+            value = self._decode_record(key, frags, mine)
             if mine:
-                value = self._decode_degraded(key, majority, frags, mine)
                 self._read_repair(key, majority, value, mine, m)
-            elif self.sigma:
-                record = BitVector()
-                for _, frag in frags:
-                    record = record + frag
-                value = record[: self.sigma].to_int()
         return found, value
 
-    def _decode_degraded(
+    def _decode_record(
         self,
         key: int,
-        majority: int,
-        frags: List[Tuple[int, BitVector]],
+        frags: List[Tuple[int, int]],
         failures: Dict[Tuple[int, int], Exception],
     ) -> Optional[int]:
         """Reconstruct the record once presence is established.
@@ -514,12 +502,11 @@ class StaticDictionary(Dictionary):
         if not self.sigma:
             return None
         if self.redundancy == "replicate":
-            return frags[0][1][: self.sigma].to_int()
+            return frags[0][1]
         if len(frags) == self.m_need:
-            record = BitVector()
-            for _, frag in frags:
-                record = record + frag
-            return record[: self.sigma].to_int()
+            return join_record(
+                [frag for _, frag in frags], self.sigma, self.frag_bits
+            )
         raise DegradedLookupError(
             f"key {key} is present but {self.m_need - len(frags)} of its "
             f"{self.m_need} record fragments are unreadable "
@@ -550,11 +537,8 @@ class StaticDictionary(Dictionary):
         if self.redundancy != "replicate":
             return
         assigned = set(self.assignment.get(key, ()))
-        record = (
-            BitVector.from_int(value, self.sigma) if self.sigma else BitVector()
-        )
         repairs = {
-            loc: (majority, record)
+            loc: (majority, value or 0)
             for loc, fault in failures.items()
             if isinstance(fault, BlockCorruption) and loc[0] in assigned
         }
@@ -629,10 +613,9 @@ class StaticDictionary(Dictionary):
             for (stripe, j) in locs
             if (stripe, j) not in mine
         }
-        record = decode_chain(
+        return decode_chain(
             by_stripe, head, self.field_bits, self.sigma, self.degree
         )
-        return record.to_int()
 
     def batch_lookup(self, keys):
         """Answer many lookups with one round-packed field read.

@@ -38,10 +38,10 @@ class BlockOverflowError(Exception):
 def _fingerprint_obj(obj: Any, acc: int) -> int:
     """Fold one payload object into the running fingerprint.
 
-    Handles the payload shapes the simulator stores (None, ints, strings,
-    bytes, bools, bit vectors, and nested lists/tuples of those); anything
-    else is folded through its ``repr``, which is deterministic for every
-    type this repository puts on disk.
+    Handles the payload shapes the simulator stores (None, ints — fields and
+    record fragments included — strings, bytes, bools, and nested
+    lists/tuples of those); anything else is folded through its ``repr``,
+    which is deterministic for every type this repository puts on disk.
     """
     if obj is None:
         return splitmix64(acc ^ 0x9E3779B97F4A7C15)
@@ -56,7 +56,7 @@ def _fingerprint_obj(obj: Any, acc: int) -> int:
         for item in obj:
             acc = _fingerprint_obj(item, acc)
         return acc
-    # BitVector and friends: a stable repr is part of their contract.
+    # Any other payload object: a stable repr is part of its contract.
     return splitmix64(acc ^ stable_hash(repr(obj)))
 
 

@@ -95,9 +95,9 @@ def corrupt_value(value: Any, salt: int) -> Any:
     """Deterministically scramble one stored value, preserving its shape.
 
     Shape preservation matters: corruption must produce *plausible* garbage
-    (a different key, a flipped fragment) rather than something that crashes
-    the reader — that is what makes silent corruption dangerous and
-    checksums worth their bits.
+    (a different key, a scrambled int field or fragment) rather than
+    something that crashes the reader — that is what makes silent
+    corruption dangerous and checksums worth their bits.
     """
     if value is None:
         return None
@@ -124,12 +124,6 @@ def corrupt_value(value: Any, salt: int) -> Any:
             corrupt_value(v, splitmix64(salt + i)) if i == idx else v
             for i, v in enumerate(value)
         ]
-    to_int = getattr(value, "to_int", None)
-    from_int = getattr(type(value), "from_int", None)
-    if to_int is not None and from_int is not None and len(value) > 0:
-        # BitVector-like: flip one deterministic bit.
-        bit = splitmix64(salt ^ 0x155) % len(value)
-        return from_int(to_int() ^ (1 << bit), len(value))
     return value  # unknown immutable shape: leave as-is (still counts as hit)
 
 

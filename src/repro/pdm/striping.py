@@ -170,7 +170,7 @@ class StripedFieldArray:
                 payload = list(block.payload)
             for slot, value in slot_values:
                 payload[slot] = value
-            used = sum(1 for v in payload if v is not None) * self.field_bits
+            used = (len(payload) - payload.count(None)) * self.field_bits
             writes.append((addr, payload, used))
         self.machine.write_blocks(writes)
 
@@ -193,7 +193,7 @@ class StripedFieldArray:
             payload: List[Any] = [None] * self.fields_per_block
             for slot, value in slot_values:
                 payload[slot] = value
-            used = sum(1 for v in payload if v is not None) * self.field_bits
+            used = (len(payload) - payload.count(None)) * self.field_bits
             writes.append((addr, payload, used))
         self.machine.write_blocks(writes, repair=True)
 
@@ -217,7 +217,7 @@ class StripedFieldArray:
                 block = disk.peek(block_index)
                 payload = None if block is None else block.payload
                 if payload is not None:
-                    count += sum(1 for v in payload if v is not None)
+                    count += len(payload) - payload.count(None)
         return count
 
     @property

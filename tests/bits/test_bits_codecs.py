@@ -1,42 +1,54 @@
-"""Unit and property tests for the unary code and the field-chain codec."""
+"""Unit and property tests for the unary pointer and the int field codecs."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bits.bitvector import BitReader, BitVector
 from repro.bits.fields import (
     ChainCapacityError,
     chain_capacity_bits,
+    chain_delta,
     decode_chain,
     encode_chain,
+    join_record,
     required_field_bits,
+    split_record,
 )
-from repro.bits.unary import decode_unary, encode_unary
 
 
 class TestUnary:
+    """The relative pointer a field starts with, read by ``chain_delta``."""
+
     def test_zero_is_single_zero_bit(self):
-        assert encode_unary(0).to01() == "0"
+        # A tail field: one 0-bit, then data (here all ones).
+        assert chain_delta(0b0111_1111, 8) == 0
+        assert encode_chain(0b111_1111, 7, [3], 8) == {3: 0b0111_1111}
 
     def test_three(self):
-        assert encode_unary(3).to01() == "1110"
+        assert chain_delta(0b1110_0000, 8) == 3
+        assert chain_delta(0b1110_1011, 8) == 3  # data bits are ignored
 
     def test_negative_rejected(self):
+        with pytest.raises(ChainCapacityError):
+            chain_delta(-1, 8)
         with pytest.raises(ValueError):
-            encode_unary(-1)
+            encode_chain(0, 0, [4, 2], 8)  # a negative delta
 
-    @given(st.integers(0, 200))
-    def test_roundtrip(self, n):
-        assert decode_unary(BitReader(encode_unary(n))) == n
+    @given(st.integers(0, 200), st.data())
+    def test_roundtrip(self, n, data):
+        width = 256
+        room = width - n - 1
+        payload = data.draw(st.integers(0, (1 << room) - 1))
+        field = (((1 << n) - 1) << (room + 1)) | payload
+        assert chain_delta(field, width) == n
 
-    @given(st.lists(st.integers(0, 30), min_size=1, max_size=10))
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=10))
     def test_stream_of_codewords(self, values):
-        stream = BitVector()
+        stripes = [0]
         for v in values:
-            stream = stream + encode_unary(v)
-        reader = BitReader(stream)
-        assert [decode_unary(reader) for _ in values] == values
+            stripes.append(stripes[-1] + v)
+        fields = encode_chain(0, 0, stripes, 32)
+        assert [chain_delta(fields[s], 32) for s in stripes] == values + [0]
 
 
 class TestChainCapacity:
@@ -87,43 +99,76 @@ chains = st.integers(4, 24).flatmap(
     )
 )
 
+#: ``(value, sigma, stripes, field_bits) -> fields``, pinned to the bit
+#: patterns of the original bit-string codec: pointer, 0-bit, data,
+#: zero padding, first bit most significant.
+LAYOUTS = [
+    ((0b1011_0011_1101, 12, [0, 2, 3], 8), {0: 0xD6, 2: 0x9E, 3: 0x40}),
+    (
+        (0xA5C3F00F1E, 40, [1, 4, 5, 9, 12], 16),
+        {1: 0xEA5C, 4: 0x8FC0, 5: 0xF1E3, 9: 0xEC00, 12: 0x0},
+    ),
+    ((5, 4, [0, 3, 7], 10), {0: 0x394, 3: 0x3C0, 7: 0x0}),
+]
+
 
 class TestChainCodec:
     def test_simple_roundtrip(self):
-        record = BitVector.from_int(0b1011_0011_1101, 12)
-        fields = encode_chain(record, [0, 2, 3], 8)
+        record = 0b1011_0011_1101
+        fields = encode_chain(record, 12, [0, 2, 3], 8)
         assert set(fields) == {0, 2, 3}
-        assert all(len(f) == 8 for f in fields.values())
+        assert all(0 <= f < 1 << 8 for f in fields.values())
         out = decode_chain(fields, 0, 8, 12, 8)
         assert out == record
 
+    @pytest.mark.parametrize("args, fields", LAYOUTS)
+    def test_layout_is_pinned(self, args, fields):
+        assert encode_chain(*args) == fields
+
     def test_capacity_error(self):
         with pytest.raises(ChainCapacityError):
-            encode_chain(BitVector.ones(100), [0, 1], 8)
+            encode_chain((1 << 100) - 1, 100, [0, 1], 8)
+        with pytest.raises(ChainCapacityError):
+            # Enough bits in total, but the delta-10 pointer overflows
+            # its own 8-bit field.
+            encode_chain(0, 0, [0, 10, 11], 8)
+
+    def test_record_must_fit_sigma(self):
+        with pytest.raises(ValueError):
+            encode_chain(16, 4, [0, 1], 8)
+        with pytest.raises(ValueError):
+            encode_chain(-1, 4, [0, 1], 8)
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
-            encode_chain(BitVector("1"), [], 8)
+            encode_chain(1, 1, [], 8)
 
     def test_decode_missing_field_fails(self):
-        record = BitVector.from_int(5, 4)
-        fields = encode_chain(record, [0, 2], 8)
+        fields = encode_chain(5, 4, [0, 2], 8)
         del fields[2]
         with pytest.raises((KeyError, ChainCapacityError)):
             decode_chain(fields, 0, 8, 4, 8)
 
-    def test_decode_walk_beyond_stripes_fails(self):
-        # A corrupted header pointing past the last stripe must be caught.
-        fields = {0: BitVector("11110000")}  # delta 4 from stripe 0
-        with pytest.raises((KeyError, ChainCapacityError)):
-            decode_chain(fields, 0, 8, 4, 3)
+    @pytest.mark.parametrize(
+        "field, max_stripe",
+        [
+            (0b1111_0000, 3),  # delta 4 from stripe 0, past the last stripe
+            (0b1111_1111, 8),  # no terminating 0-bit
+            (1 << 8, 8),  # wider than the 8-bit field
+        ],
+        ids=["past-last-stripe", "no-terminator", "too-wide"],
+    )
+    def test_decode_walk_beyond_stripes_fails(self, field, max_stripe):
+        # A corrupted header must be caught as a capacity error.
+        with pytest.raises(ChainCapacityError):
+            decode_chain({0: field}, 0, 8, 4, max_stripe)
 
     def test_decoding_ignores_unrelated_fields(self):
         """Fields of other keys sitting between chain hops are skipped."""
-        record = BitVector.from_int(0b10110, 5)
-        fields = encode_chain(record, [1, 4], 8)
-        fields[2] = BitVector.ones(8)  # unrelated garbage
-        fields[3] = BitVector.zeros(8)
+        record = 0b10110
+        fields = encode_chain(record, 5, [1, 4], 8)
+        fields[2] = 0xFF  # unrelated garbage
+        fields[3] = 0
         assert decode_chain(fields, 1, 8, 5, 8) == record
 
     @settings(max_examples=80, deadline=None)
@@ -136,13 +181,31 @@ class TestChainCodec:
         )
         capacity = chain_capacity_bits(stripes, field_bits)
         sigma = data.draw(st.integers(0, capacity))
-        record = BitVector(
-            data.draw(
-                st.lists(
-                    st.integers(0, 1), min_size=sigma, max_size=sigma
-                )
-            )
-        )
-        fields = encode_chain(record, stripes, field_bits)
+        record = data.draw(st.integers(0, (1 << sigma) - 1))
+        fields = encode_chain(record, sigma, stripes, field_bits)
+        assert all(0 <= f < 1 << field_bits for f in fields.values())
         out = decode_chain(fields, stripes[0], field_bits, sigma, d)
         assert out == record
+
+
+class TestRecordFragments:
+    def test_last_fragment_is_zero_padded(self):
+        # 0b10110 in 2-bit fragments: 10 11 0(0).
+        assert split_record(0b10110, 5, 2, 3) == [0b10, 0b11, 0b00]
+        assert join_record([0b10, 0b11, 0b00], 5, 2) == 0b10110
+
+    def test_record_must_fit(self):
+        with pytest.raises(ValueError):
+            split_record(32, 5, 2, 3)
+        with pytest.raises(ValueError):
+            split_record(0, 5, 2, 2)  # 4 bits of fragments for 5
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 300), st.integers(1, 24), st.integers(0, 8), st.data())
+    def test_roundtrip_property(self, sigma, count, extra, data):
+        width = -(-sigma // count) + extra
+        value = data.draw(st.integers(0, (1 << sigma) - 1))
+        frags = split_record(value, sigma, width, count)
+        assert len(frags) == count
+        assert all(0 <= f < 1 << width for f in frags)
+        assert join_record(frags, sigma, width) == value

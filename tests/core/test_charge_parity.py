@@ -2,8 +2,9 @@
 
 Seeded replays of every read-bearing operation — single and batched
 lookups on both Theorem 6 layouts (case 'a', case 'b' standard and
-replicated) and the Theorem 7 dynamic dictionary's inserts, updates,
-deletes and their batch forms — run healthy and under a
+replicated), the Theorem 7 dynamic dictionary's inserts, updates,
+deletes and their batch forms, and the Section 6 recursive dictionary's
+fragment lookups, inserts and updates — run healthy and under a
 ``FaultPlan.kill_disks`` plan.  Each replay digests:
 
 * the per-op outcomes (values, typed errors);
@@ -16,6 +17,9 @@ The literal digests were captured from the two-path field read (one
 raising read for intact machines, one fault-collecting read under an
 injector) that the single fault-aware read replaced: folding the paths
 together must not move a charged round, a block or a span attribute.
+The ``recursive`` digests were captured while records and fragments were
+still bit-vector objects; carrying them as plain ints must not move them
+either.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import pytest
 
 from repro.core.dynamic_dict import DynamicDictionary
 from repro.core.interface import DegradedLookupError, LookupResult
+from repro.core.recursive_dict import RecursiveLoadBalancedDictionary
 from repro.core.static_dict import StaticDictionary
 from repro.faults.plan import FaultPlan
 from repro.pdm.faults import attach_faults
@@ -142,6 +147,29 @@ def _replay_dynamic(killed):
     return _seal(machine, recorder, observed)
 
 
+def _replay_recursive(killed):
+    machine = ParallelDiskMachine(24, 16, item_bits=64)
+    # Tight buckets spill records to level 1 and the brute-force area, so
+    # all three storage shapes carry fragments or records.
+    d = RecursiveLoadBalancedDictionary(
+        machine, universe_size=U, capacity=64, sigma=SIGMA, degree=8,
+        levels=2, stripe_slack=0.5, bucket_slots=2, seed=9,
+    )
+    items = _items(40)
+    for k, v in sorted(items.items()):
+        d.insert(k, v)
+    recorder = _attach(machine, killed)
+    present = sorted(items)
+    fresh = _absent(items, 8)
+    observed = [_call(d.lookup, k) for k in present[:12] + fresh[:4]]
+    for k in fresh[4:8] + present[:6]:  # new keys, then updates
+        observed.append(_call(d.insert, k, (k * 7) % (1 << SIGMA)))
+    observed += [_call(d.lookup, k) for k in present + fresh]
+    observed.append((sorted(d.stats.level_histogram.items()),
+                     d.stats.brute_inserts))
+    return _seal(machine, recorder, observed)
+
+
 CONFIGS = {
     "static-a": lambda killed: _replay_static("a", "standard", killed),
     "static-b-standard": lambda killed: _replay_static(
@@ -152,6 +180,7 @@ CONFIGS = {
     ),
     "dynamic": _replay_dynamic,
     "dynamic-spare-stripe": _replay_dynamic,
+    "recursive": _replay_recursive,
 }
 
 #: Disks killed per structure: static case 'a' loses one membership disk
@@ -160,16 +189,29 @@ CONFIGS = {
 #: updates and deletes reach the chain clears).  First-fit packs chains
 #: into the lowest free stripes: every chain crosses stripe 1 (disk 9),
 #: and at this occupancy none crosses stripe 6 (disk 14), whose clears
-#: see failed fields but leak nothing.
+#: see failed fields but leak nothing.  The recursive dictionary reads
+#: every level and the brute-force area in one I/O, so its dead level-0
+#: disk fails every operation with the same typed error.
 KILLED = {
     "static-a": [2, 9],
     "static-b-standard": [3],
     "static-b-replicate": [3],
     "dynamic": [9],
     "dynamic-spare-stripe": [14],
+    "recursive": [3],
 }
 
 SNAPSHOTS = {
+    ("recursive", "healthy"): {
+        "outcomes": "a75bd173432b906f",
+        "stats": "aba2688e2c52f2c0",
+        "spans": "e3dc75ef20f42b41",
+    },
+    ("recursive", "kill_disks"): {
+        "outcomes": "7ab8b5b9c192695e",
+        "stats": "47a825f135878334",
+        "spans": "ca9c4511e9f52ea3",
+    },
     ("dynamic", "healthy"): {
         "outcomes": "a7ecb669ee40241a",
         "stats": "66891a3ae67bb2a7",

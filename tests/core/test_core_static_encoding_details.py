@@ -11,11 +11,16 @@ import random
 
 import pytest
 
-from repro.bits.bitvector import BitReader
 from repro.core.static_dict import StaticDictionary, fields_needed
 from repro.pdm.machine import ParallelDiskMachine
 
 U = 1 << 18
+
+
+def bits_of(field, width):
+    """A ``width``-bit int field as its bit string, first bit first."""
+    assert 0 <= field < (1 << width)
+    return format(field, f"0{width}b") if width else ""
 
 
 def build(case, items, sigma, degree=16, seed=4):
@@ -46,8 +51,7 @@ class TestCaseBLayout:
                 assert field is not None
                 stored_ident, frag = field
                 assert stored_ident == ident
-                assert len(frag) <= frag_w
-                record_bits += frag.to01()
+                record_bits += bits_of(frag, frag_w)
             assert int(record_bits[:24], 2) == items[key]
 
     def test_exactly_m_fields_per_key(self):
@@ -80,11 +84,13 @@ class TestCaseALayout:
             hops = 0
             while True:
                 field = d.array.peek((stripe, idx[stripe]))
-                reader = BitReader(field)
+                # Shift/mask parser: test the top bit until the 0-bit.
+                pos = d.field_bits - 1
                 delta = 0
-                while reader.read_bit():
+                while (field >> pos) & 1:
                     delta += 1
-                data_bits += reader.read_rest().to01()
+                    pos -= 1
+                data_bits += bits_of(field & ((1 << pos) - 1), pos)
                 hops += 1
                 if delta == 0:
                     break
@@ -121,8 +127,9 @@ class TestCaseALayout:
             pointer_bits = 0
             for stripe in d.assignment[key]:
                 field = d.array.peek((stripe, idx[stripe]))
-                reader = BitReader(field)
-                while reader.read_bit():
+                pos = d.field_bits - 1
+                while (field >> pos) & 1:
                     pointer_bits += 1
+                    pos -= 1
                 pointer_bits += 1  # the terminating 0
             assert pointer_bits < 2 * d.degree

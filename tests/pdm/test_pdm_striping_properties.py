@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bits import BitVector
 from repro.faults.plan import FaultPlan
 from repro.pdm.errors import DiskFailure
 from repro.pdm.faults import attach_faults
@@ -14,7 +13,8 @@ from repro.pdm.striping import StripedFieldArray
 STRIPES, STRIPE_SIZE, FIELD_BITS = 6, 20, 32
 
 loc = st.tuples(st.integers(0, STRIPES - 1), st.integers(0, STRIPE_SIZE - 1))
-value = st.one_of(st.none(), st.integers(0, 2**16), st.text(max_size=4))
+field = st.integers(0, 2**FIELD_BITS - 1)  # a field is a FIELD_BITS-wide int
+value = st.one_of(st.none(), field)
 
 
 @settings(max_examples=40, deadline=None)
@@ -60,7 +60,7 @@ def test_field_array_matches_dict_model(writes, dead_stripe):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.dictionaries(loc, st.integers(0, 100), min_size=1, max_size=30)
+    st.dictionaries(loc, field, min_size=1, max_size=30)
 )
 def test_bulk_write_equals_pointwise_writes(assignments):
     m1 = ParallelDiskMachine(STRIPES, 16)
