@@ -15,8 +15,7 @@ Every scenario drives the *same* seeded workload, and the charged round
 counts are asserted identical across all backends before any wall number
 is reported: the clock may move, the accounting may not.
 
-Outputs ``benchmarks/results/BENCH_executors.json`` (ingested into the
-bench trajectory by ``python -m repro.obs.history``) and
+Outputs ``benchmarks/results/BENCH_executors.json`` and
 ``executors.txt``.  Wall values are machine-dependent; the schema and the
 charged counts are fixed.
 """

@@ -18,8 +18,7 @@ benchmarks put numbers on the two halves of that contract:
    foreground p99 impact.
 
 Outputs: ``benchmarks/results/fault_recovery_*.txt`` (+ .json sidecars)
-and ``benchmarks/results/BENCH_recovery.json`` (ingested into the
-committed bench trajectory by ``scripts/bench_history.py``).
+and ``benchmarks/results/BENCH_recovery.json``.
 """
 
 import json

@@ -17,11 +17,10 @@ workload with the wall channel enabled and reports:
 * per-disk busy/idle utilization from the traced I/O schedule;
 * the self-measured overhead of the always-on
   :class:`~repro.obs.latency.LatencyTracker` — interleaved best-of-N
-  instrumented vs plain passes (gated ≤5% in CI by
-  ``scripts/check_obs_overhead.py``).
+  instrumented vs plain passes (a report: on a shared host it swings too
+  far to gate; ``tests/obs/test_detached_cost.py`` counts calls instead).
 
-Outputs ``benchmarks/results/BENCH_latency.json`` (ingested into the
-bench trajectory by ``python -m repro.obs.history``) and ``latency.txt``.
+Outputs ``benchmarks/results/BENCH_latency.json`` and ``latency.txt``.
 All latency *values* are machine-dependent; the *schema* (bucket bounds,
 label sets) is fixed so runs line up metric-for-metric.
 """
@@ -168,9 +167,9 @@ def test_latency_report(benchmark, save_table, results_dir):
 
     overhead, tracker = _measure_tracker_overhead()
     assert tracker.operations == OVERHEAD_OPS * overhead.repeats
-    # Loose sanity here; the hard ≤5% gate is scripts/check_obs_overhead.py
-    # reading the JSON this writes (so one noisy CI box fails the gate,
-    # not the benchmark suite).
+    # Loose sanity only: the wall fraction is report-only, and the
+    # no-recorder cost is gated by call counts in
+    # tests/obs/test_detached_cost.py.
     assert overhead.overhead_fraction < 0.50
 
     op_classes = _family_summary(wall_registry, "latency.op_us", "op")

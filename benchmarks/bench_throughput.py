@@ -21,9 +21,10 @@ hot-path figure the ``__slots__``/fast-path work targets.
 Outputs:
 
 * ``benchmarks/results/BENCH_throughput.json`` — the machine-readable
-  acceptance artefact; CI uploads it and gates >20% regressions against
-  ``benchmarks/baselines/throughput.json`` via
-  ``scripts/check_throughput_regression.py``.
+  artefact; CI uploads it as a report.  The same batched path's rounds
+  and blocks per op, with and without the pool, are gated exactly on the
+  ``benchmarks/e2e`` workloads ``read-hot`` and ``read-hot-cached`` by
+  ``make bench-e2e-smoke``.
 * ``benchmarks/results/throughput_skew.txt`` for EXPERIMENTS.md.
 """
 

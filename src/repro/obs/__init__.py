@@ -18,10 +18,7 @@ counters and turns them into:
   deterministic record;
 * :mod:`repro.obs.latency` — wall-latency histograms with p50/p95/p99,
   per-layer attribution, per-disk utilization timelines, and the
-  always-on :class:`~repro.obs.latency.LatencyTracker`;
-* :mod:`repro.obs.history` — the bench trajectory: every ``BENCH_*.json``
-  merged into ``benchmarks/results/trajectory.json`` with per-metric
-  regression attribution (``python -m repro.obs.history``).
+  always-on :class:`~repro.obs.latency.LatencyTracker`.
 
 Everything here is off the hot path: with no recorder attached, the
 simulator pays a single ``is None`` check per operation.

@@ -8,8 +8,7 @@ estimation, per operation class (``lookup``/``insert``/``delete``/
 ``batch_*``), per layer (cache hit vs miss vs fault-retry vs uncached)
 and per executor lane.  The *values* are wall measurements and vary run
 to run; the *schema* (bucket bounds, label sets, key order) never does,
-so reports from different runs and PRs line up metric-for-metric in the
-bench trajectory (:mod:`repro.obs.history`).
+so reports from different runs and PRs line up metric-for-metric.
 
 Two recording modes:
 
@@ -17,8 +16,8 @@ Two recording modes:
   channel enabled; :func:`collect_latency` attributes every root span.
 * **Always-on** — :class:`LatencyTracker`, a histogram-only aggregator
   cheap enough to leave on in a serving loop (two clock reads and one
-  bisect per operation; its self-measured overhead is gated ≤5% in CI by
-  ``scripts/check_obs_overhead.py``).
+  bisect per operation, three Python-level calls:
+  ``tests/obs/test_detached_cost.py`` counts them).
 """
 
 from __future__ import annotations
@@ -185,8 +184,7 @@ class LatencyTracker:
     :meth:`start` / :meth:`stop_ns` around each operation (two clock
     reads) or :meth:`observe_ns` when the caller already timed it.  The
     result is the same :class:`~repro.obs.metrics.Histogram` shape the
-    full span pipeline produces, so both modes feed the same tables and
-    the same trajectory metrics.
+    full span pipeline produces, so both modes feed the same tables.
     """
 
     __slots__ = ("clock", "buckets", "_hists")
@@ -215,8 +213,8 @@ class LatencyTracker:
             h = self._hists[op] = Histogram(self.buckets)
         us = ns / 1000.0
         # Inline of Histogram.observe(us) with a bisect instead of the
-        # linear bound scan — this is the per-operation hot path the ≤5%
-        # overhead gate protects.
+        # linear bound scan — this is the per-operation hot path, one
+        # Python-level call per observation.
         h.counts[bisect_left(h.bounds, us)] += 1
         h.total += 1
         h.sum += us

@@ -150,8 +150,8 @@ class OverheadReport:
     """Wall cost of the always-on telemetry, measured on this machine.
 
     ``overhead_fraction`` is the fraction of per-op wall time the
-    instrumented run spends on instrumentation (0.03 = 3%); CI gates it
-    via ``scripts/check_obs_overhead.py``.  Both throughputs are
+    instrumented run spends on instrumentation (0.03 = 3%), a report-only
+    number: on a shared host it swings too far to gate.  Both throughputs are
     best-of-``repeats`` over interleaved passes, so a background stall
     hits both sides rather than masquerading as overhead.
     """
@@ -195,7 +195,7 @@ def measure_overhead(
     The self-measurement half of the "always-on, low-overhead" claim:
     the benchmark harness passes the same replay with telemetry off and
     on, and the resulting :attr:`~OverheadReport.overhead_fraction` is
-    itself reported as a metric (``BENCH_latency.json``) and gated in CI.
+    itself reported as a metric (``BENCH_latency.json``).
     """
     if clock is None:
         clock = DEFAULT_CLOCK
