@@ -15,6 +15,20 @@ flag is on: every :meth:`Block.seal` after a write records the fingerprint,
 and verify-on-read (:meth:`Block.verify`) turns *silent* corruption — a
 payload the fault layer scrambled behind the accountant's back — into a
 typed :class:`~repro.pdm.errors.BlockCorruption`.
+
+Verification costs one fingerprint per block *version*, not per read: a
+seal, or a verify that passed, records the :attr:`Block.version` it
+checked, and a later verify of that same version returns at once.  This
+rests on one invariant: a Block object's payload changes only through
+:meth:`Block.store` / :meth:`Block.clear`, which draw a fresh, globally
+unique version.  Everything else that produces different bytes builds a
+*new* Block with an empty memo — the fault layer's scrambled copy (which
+keeps the stale checksum), the file executor's per-frame Block and the
+buffer pool's copies — so a stale seal is still fingerprinted and still
+fails.  The memo keys on the version, never on the checksum value, since
+the scrambled copy carries the old checksum.  Pinned by
+``TestVerifyOncePerVersion`` (``tests/pdm/test_pdm_blocks_disks_memory.py``)
+and ``TestCorruptionAfterVerify`` (``tests/faults/test_injection.py``).
 """
 
 from __future__ import annotations
@@ -68,7 +82,10 @@ def payload_fingerprint(payload: Any, used_bits: int) -> int:
 class Block:
     """One disk block: a payload plus bit-granular capacity accounting."""
 
-    __slots__ = ("capacity_bits", "payload", "used_bits", "checksum", "version")
+    __slots__ = (
+        "capacity_bits", "payload", "used_bits", "checksum", "version",
+        "verified_version",
+    )
 
     def __init__(self, capacity_bits: int):
         if capacity_bits <= 0:
@@ -81,13 +98,18 @@ class Block:
         self.checksum: Optional[int] = None
         #: globally-unique content stamp, refreshed by every :meth:`store`
         #: / :meth:`clear`.  Derived caches (the batch lookup's key
-        #: columns) key on it: an unchanged version proves an unchanged
-        #: payload.  Disk writes store in place through this API, which
-        #: refreshes the stamp; nothing else touches a block it has handed
-        #: out — fault corruption stores a scrambled *copy* in the block's
-        #: place, and the buffer pool's ``fill``/``put``/``refresh`` always
-        #: install a new ``Block`` (pinned by ``tests/pdm/test_cache.py``).
+        #: columns, the :meth:`verify` memo) key on it: an unchanged
+        #: version proves an unchanged payload.  Disk writes store in place
+        #: through this API, which refreshes the stamp; nothing else
+        #: touches a block it has handed out — fault corruption stores a
+        #: scrambled *copy* in the block's place, and the buffer pool's
+        #: ``fill``/``put``/``refresh`` always install a new ``Block``
+        #: (pinned by ``tests/pdm/test_cache.py``).
         self.version: int = _next_version()
+        #: the :attr:`version` whose payload was last fingerprinted and
+        #: found equal to :attr:`checksum` (by :meth:`seal` or a passed
+        #: :meth:`verify`); ``None`` until then.
+        self.verified_version: Optional[int] = None
 
     @property
     def is_empty(self) -> bool:
@@ -126,6 +148,7 @@ class Block:
     def seal(self) -> int:
         """Record the fingerprint of the current contents and return it."""
         self.checksum = payload_fingerprint(self.payload, self.used_bits)
+        self.verified_version = self.version
         return self.checksum
 
     def verify(self) -> bool:
@@ -133,11 +156,16 @@ class Block:
 
         An unsealed block (``checksum is None`` — written before checksums
         were enabled, or never written) trivially verifies: there is no
-        integrity claim to check.
+        integrity claim to check.  A version already sealed or verified
+        is not fingerprinted again (see the module docstring for why an
+        unchanged version proves an unchanged payload).
         """
-        if self.checksum is None:
+        if self.checksum is None or self.verified_version == self.version:
             return True
-        return self.checksum == payload_fingerprint(self.payload, self.used_bits)
+        if self.checksum != payload_fingerprint(self.payload, self.used_bits):
+            return False
+        self.verified_version = self.version
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.pdm.block as block_module
 from repro.expanders.random_graph import SeededRandomExpander
 from repro.pdm.machine import ParallelDiskHeadMachine, ParallelDiskMachine
 
@@ -39,3 +40,18 @@ def graph() -> SeededRandomExpander:
 def small_graph() -> SeededRandomExpander:
     """Tiny graph for exhaustive checks."""
     return SeededRandomExpander(left_size=64, degree=6, stripe_size=8, seed=7)
+
+
+@pytest.fixture
+def fingerprints(monkeypatch):
+    """Count the calls of ``repro.pdm.block.payload_fingerprint`` (the
+    whole cost of a seal or a full verify): ``len(fingerprints)``."""
+    calls = []
+    real = block_module.payload_fingerprint
+
+    def counting(payload, used_bits):
+        calls.append(used_bits)
+        return real(payload, used_bits)
+
+    monkeypatch.setattr(block_module, "payload_fingerprint", counting)
+    return calls

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.plan import FOREVER
+from repro.pdm import EXECUTOR_NAMES, create_executor
 from repro.pdm.errors import BlockCorruption, DiskFailure, TransientIOError
 from repro.pdm.faults import (
     DiskOutage,
@@ -124,6 +125,39 @@ class TestCorruption:
         machine.read_blocks([(0, 7)])
         assert machine.faults.injected["corruption"] == 0
         assert machine.faults.pending_corruptions == 0  # consumed anyway
+
+
+class TestCorruptionAfterVerify:
+    """A block that passed verification (so its version is memoised) and
+    is then silently corrupted must still fail the next checksummed read:
+    the scrambled copy is a new Block carrying the stale checksum."""
+
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_verified_then_corrupted_block_is_caught(
+        self, executor, tmp_path, fingerprints
+    ):
+        machine = ParallelDiskMachine(
+            8, 16, item_bits=64,
+            executor=(
+                None if executor == "simulated"
+                else create_executor(executor, directory=str(tmp_path))
+            ),
+        )
+        try:
+            attach_faults(machine, [SilentCorruption(0, 10_000, 0)])
+            _write(machine, (0, 0))
+            blk = machine.read_blocks([(0, 0)])[(0, 0)]
+            assert blk.payload[0] == "x"
+            before = len(fingerprints)
+            assert blk.verify()
+            assert len(fingerprints) == before  # the memo is set
+            while machine.stats.total_ios < 10_000:
+                machine.stats.read_ios += 100
+            with pytest.raises(BlockCorruption):
+                machine.read_blocks([(0, 0)])
+            assert machine.faults.injected["corruption"] == 1
+        finally:
+            machine.close()
 
 
 class TestStragglers:
