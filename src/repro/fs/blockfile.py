@@ -22,6 +22,16 @@ Durability contract (the gap this module closes):
   learns about the new frame, so an acknowledged write is on the medium
   (the in-memory index never points past what a crash could replay).
 
+Decode once per content: every :meth:`BlockLogFile.read_block` still
+does its ``pread`` and checks magic/version and the CRC, but it keeps
+the bytes and the decoded record of the last frame it unpickled for each
+block index.  A read whose bytes equal those returns the same record
+object; any other frame (rewritten, scrambled, resynced) misses and is
+decoded in full.  Identical bytes unpickle to an identical payload, so
+keying on the bytes — not on the index or the offset, which an in-place
+overwrite keeps — is what makes this sound.  The memo holds one entry
+per block index and :meth:`BlockLogFile.reset` clears it.
+
 The frame layout is fixed-endian (``<``) and versioned::
 
     magic "RBLK" | version u8 | flags u8 | reserved u16
@@ -61,6 +71,9 @@ PICKLE_PROTOCOL = 4
 #: BlockCorruption on its read instead of resurrecting the older frame.
 _TORN = (-1, -1)
 
+#: one decoded frame: ``(payload, used_bits, checksum)``.
+Record = Tuple[Any, int, Optional[int]]
+
 
 def encode_frame(
     block_index: int, payload: Any, used_bits: int, checksum: Optional[int]
@@ -75,16 +88,9 @@ def encode_frame(
     return header + body + _CRC.pack(zlib.crc32(header + body))
 
 
-def decode_frame(
-    data: bytes, *, path: str = "?", block_index: Optional[int] = None
-) -> Tuple[Any, int, Optional[int]]:
-    """``(payload, used_bits, checksum)`` of one frame, CRC-verified.
-
-    Raises :class:`~repro.pdm.errors.BlockCorruption` for anything that is
-    not a bit-exact frame: short reads, bad magic, CRC mismatch, or a
-    payload that no longer unpickles.
-    """
-    where = f"block {block_index} of {path}" if block_index is not None else path
+def _checked_body(data: bytes, where: str) -> Tuple[int, int, Optional[int]]:
+    """Check one frame's length, magic/version and CRC; return
+    ``(payload_end, used_bits, seal)``."""
     if len(data) < HEADER_SIZE + CRC_SIZE:
         raise BlockCorruption(
             f"torn frame at {where}: {len(data)} bytes is shorter than a "
@@ -106,22 +112,39 @@ def decode_frame(
     (crc,) = _CRC.unpack_from(data, end)
     if crc != zlib.crc32(data[:end]):
         raise BlockCorruption(f"frame CRC mismatch at {where}")
+    seal = checksum if flags & _FLAG_SEALED else None
+    return end, used_bits, seal
+
+
+def _unpickled(data: bytes, end: int, where: str) -> Any:
     try:
-        payload = pickle.loads(data[HEADER_SIZE:end])
+        return pickle.loads(data[HEADER_SIZE:end])
     except Exception as exc:
         raise BlockCorruption(
             f"frame payload at {where} no longer unpickles: {exc!r}"
         ) from exc
-    seal = checksum if flags & _FLAG_SEALED else None
-    return payload, used_bits, seal
+
+
+def decode_frame(
+    data: bytes, *, path: str = "?", block_index: Optional[int] = None
+) -> Record:
+    """``(payload, used_bits, checksum)`` of one frame, CRC-verified.
+
+    Raises :class:`~repro.pdm.errors.BlockCorruption` for anything that is
+    not a bit-exact frame: short reads, bad magic, CRC mismatch, or a
+    payload that no longer unpickles.
+    """
+    where = f"block {block_index} of {path}" if block_index is not None else path
+    end, used_bits, seal = _checked_body(data, where)
+    return _unpickled(data, end, where), used_bits, seal
 
 
 class BlockLogFile:
     """Append-only frame log holding one disk's blocks.
 
-    Single-writer, many-reader: appends come from the owning executor
-    lane; reads are position-less ``os.pread`` calls and may run from any
-    thread or process holding the path and an extent.
+    Owned by one executor lane: appends and reads (which update the
+    decode memo) both run there.  Reads are position-less ``os.pread``
+    calls, so the lanes of different disks never share a file position.
     """
 
     def __init__(self, path: str, *, fsync: bool = False):
@@ -132,6 +155,11 @@ class BlockLogFile:
         # or the _TORN sentinel for a frame damaged mid-write.  Owned by
         # the disk's executor lane; see Disk._blocks for the same contract.
         self._index: Dict[int, Tuple[int, int]] = {}  # detlint: guarded(disk-lane) -- one BlockLogFile per disk, owned by that disk's worker lane
+        # Last decoded frame per block: block_index -> (frame bytes,
+        # record).  A read whose bytes equal the memoised ones returns the
+        # same record object instead of unpickling again; one entry per
+        # index, replaced whole.
+        self._decoded: Dict[int, Tuple[bytes, Record]] = {}  # detlint: guarded(disk-lane) -- same owner as _index
         self._tail = 0
         try:
             self._fd = os.open(
@@ -235,16 +263,27 @@ class BlockLogFile:
             )
         return extent
 
-    def read_block(
-        self, block_index: int
-    ) -> Optional[Tuple[Any, int, Optional[int]]]:
-        """``(payload, used_bits, checksum)`` or ``None`` if never written."""
+    def read_block(self, block_index: int) -> Optional[Record]:
+        """``(payload, used_bits, checksum)`` or ``None`` if never written.
+
+        Every call preads the frame and checks its magic/version and CRC.
+        Only the unpickle is memoised: a frame whose bytes equal the last
+        ones decoded for this index returns that same record object, so
+        callers must not mutate the payload in place.
+        """
         extent = self.frame_extent(block_index)
         if extent is None:
             return None
         offset, length = extent
         data = self._pread(length, offset)
-        return decode_frame(data, path=self.path, block_index=block_index)
+        where = f"block {block_index} of {self.path}"
+        end, used_bits, seal = _checked_body(data, where)
+        memo = self._decoded.get(block_index)
+        if memo is not None and memo[0] == data:
+            return memo[1]
+        record = (_unpickled(data, end, where), used_bits, seal)
+        self._decoded[block_index] = (data, record)
+        return record
 
     @property
     def block_indices(self) -> List[int]:
@@ -316,6 +355,7 @@ class BlockLogFile:
                 f"truncate of {self.path} failed: {exc}"
             ) from exc
         self._index.clear()
+        self._decoded.clear()
         self._tail = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -29,6 +29,18 @@ fails.  The memo keys on the version, never on the checksum value, since
 the scrambled copy carries the old checksum.  Pinned by
 ``TestVerifyOncePerVersion`` (``tests/pdm/test_pdm_blocks_disks_memory.py``)
 and ``TestCorruptionAfterVerify`` (``tests/faults/test_injection.py``).
+
+A version names a content, not a Block object: the file executor hands
+out a new Block per charged read, and when the frame's bytes are the
+ones it decoded last time for that address the new Block carries the
+earlier Block's version (:mod:`repro.pdm.executors.filebacked`).
+Identical bytes decode to an identical payload, so "an unchanged version
+proves an unchanged payload" still holds; each such Block still starts
+with an empty verify memo.
+
+The fingerprint is exact on ints of up to 64 bits (their residue and
+sign); a wider int folds every byte of its two's complement, so a
+corruption above bit 63 changes it too.
 """
 
 from __future__ import annotations
@@ -43,6 +55,10 @@ from repro.bits.mix import splitmix64, stable_hash
 #: fault replaces a Block object wholesale, the replacement's stamp can
 #: never collide with the stamp a cache recorded for the old object.
 _next_version = itertools.count(1).__next__
+
+
+#: domain tag separating a wide int's byte fold from a bytes payload.
+_WIDE_INT = 0x57494445
 
 
 class BlockOverflowError(Exception):
@@ -62,6 +78,11 @@ def _fingerprint_obj(obj: Any, acc: int) -> int:
     if isinstance(obj, bool):
         return splitmix64(acc ^ (0xB0 + int(obj)))
     if isinstance(obj, int):
+        if obj.bit_length() > 64:
+            # stable_hash keeps only an int's 64-bit residue and sign, so
+            # a wider int folds every byte of its two's complement.
+            wide = obj.to_bytes(obj.bit_length() // 8 + 1, "little", signed=True)
+            return splitmix64(acc ^ stable_hash(wide, seed=_WIDE_INT))
         return splitmix64(acc ^ stable_hash(obj))
     if isinstance(obj, (str, bytes, bytearray)):
         return splitmix64(acc ^ stable_hash(bytes(obj) if not isinstance(obj, str) else obj))
@@ -99,7 +120,9 @@ class Block:
         #: globally-unique content stamp, refreshed by every :meth:`store`
         #: / :meth:`clear`.  Derived caches (the batch lookup's key
         #: columns, the :meth:`verify` memo) key on it: an unchanged
-        #: version proves an unchanged payload.  Disk writes store in place
+        #: version proves an unchanged payload.  The file executor may
+        #: give a new Block the version of an earlier one whose frame had
+        #: the same bytes (same content).  Disk writes store in place
         #: through this API, which refreshes the stamp; nothing else
         #: touches a block it has handed out — fault corruption stores a
         #: scrambled *copy* in the block's place, and the buffer pool's

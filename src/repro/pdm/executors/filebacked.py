@@ -22,6 +22,16 @@ Threading/lane model (the PR 6 ``guarded()`` inventory, implemented):
 * result merging happens in the calling thread after every future
   resolves — the machine above never sees partial state.
 
+Block versions: every charged read preads and CRC-checks its frame and
+returns a new :class:`~repro.pdm.block.Block`, but the log decodes a
+frame only when its bytes differ from the last ones decoded for that
+index (:mod:`repro.fs.blockfile`).  When the log hands back the very
+record it handed back last time, the new Block takes the earlier
+Block's ``version`` in place of the fresh one ``Block.store`` drew.  So the batch lookup's key columns, keyed on
+``(addr, version)``, hit here as on the simulated executor.  The Block
+itself is always new, with an empty verify memo, so a checksummed read
+still fingerprints its payload once.
+
 Determinism: no wall clock is read here (DET004) — ``clock`` is an
 injected callable (``repro.obs`` passes ``time.perf_counter_ns`` when
 timing a run) and feeds only the observation side-channel.  The optional
@@ -38,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.fs.blockfile import BlockLogFile
+from repro.fs.blockfile import BlockLogFile, Record
 from repro.pdm.block import Block, BlockOverflowError
 from repro.pdm.errors import BlockCorruption, IOFault
 from repro.pdm.executors.base import Addr, ReadResult, RoundExecutor
@@ -96,6 +106,9 @@ class FileExecutor(RoundExecutor):
         self.clock = clock
         self.lane_factory = lane_factory
         self._logs: List[BlockLogFile] = []
+        # Per disk: block index -> (the record last read for it, the
+        # version its Block got).  Lane-owned like the disk's log.
+        self._handed: List[Dict[int, Tuple[Record, int]]] = []  # detlint: guarded(disk-lane) -- slot i is touched only by disk i's lane
         self._pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
 
@@ -111,6 +124,7 @@ class FileExecutor(RoundExecutor):
             )
             for i in range(machine.num_disks)
         ]
+        self._handed = [{} for _ in range(machine.num_disks)]
         if self.workers != 1 and machine.num_disks > 1:
             width = machine.num_disks
             if self.workers is not None:
@@ -151,6 +165,7 @@ class FileExecutor(RoundExecutor):
             if self.transfer_delay_ns:
                 time.sleep(self.transfer_delay_ns * len(addrs) / 1e9)
             log = self._logs[disk_id]
+            handed = self._handed[disk_id]
             block_bits = self.machine.block_bits
             for addr in addrs:
                 try:
@@ -172,6 +187,13 @@ class FileExecutor(RoundExecutor):
                         addrs=[addr], disk=addr[0],
                     )
                     continue
+                last = handed.get(addr[1])
+                if last is not None and last[0] is record:
+                    # The log decoded nothing new: same bytes, so the
+                    # same content keeps its version.
+                    blk.version = last[1]
+                else:
+                    handed[addr[1]] = (record, blk.version)
                 # Carry the on-medium seal; the machine verifies above the
                 # seam, so a stale seal fails there exactly as in-memory.
                 blk.checksum = checksum

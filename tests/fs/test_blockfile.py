@@ -8,7 +8,10 @@ The regression surface this file pins down:
 * fsync-before-acknowledge ordering — a failed durability barrier must
   leave the index un-updated, so acknowledged reads only ever serve
   frames that reached the medium;
-* every OS-level failure is wrapped into :class:`DiskFailure`.
+* every OS-level failure is wrapped into :class:`DiskFailure`;
+* the decode memo keys on a frame's bytes: a scrambled frame still
+  fails, and a frame rewritten in place or re-appended after ``reset()``
+  is decoded anew.
 """
 
 import os
@@ -81,6 +84,62 @@ class TestRoundTrip:
             assert log.block_indices == []
             assert log.read_block(0) is None
         assert os.path.getsize(log_path) == 0
+
+
+def _rewrite(log_path, offset, data):
+    """Overwrite bytes of the log in place, behind the open log's back."""
+    with open(log_path, "r+b") as handle:
+        handle.seek(offset)
+        handle.write(data)
+
+
+class TestDecodeMemo:
+    """``read_block`` unpickles a frame once per distinct frame content,
+    on a log that stays open: the pread and the checks run every time,
+    and any change to the bytes is decoded anew."""
+
+    def test_repeat_read_returns_the_memoised_record(self, log_path):
+        with BlockLogFile(log_path) as log:
+            log.append_block(3, ["a", "b"], 16, 7)
+            first = log.read_block(3)
+            assert log.read_block(3) is first
+            log.append_block(3, ["a", "b"], 16, 7)  # same bytes, new frame
+            assert log.read_block(3) is first
+
+    def test_flipped_payload_byte_after_a_read_is_caught(self, log_path):
+        with BlockLogFile(log_path) as log:
+            log.append_block(2, ["payload"], 8, None)
+            assert log.read_block(2) == (["payload"], 8, None)
+            offset, _ = log.frame_extent(2)
+            with open(log_path, "rb") as handle:
+                handle.seek(offset + HEADER_SIZE + 1)
+                byte = handle.read(1)[0]
+            _rewrite(log_path, offset + HEADER_SIZE + 1, bytes([byte ^ 0xFF]))
+            with pytest.raises(BlockCorruption):
+                log.read_block(2)
+
+    def test_in_place_overwrite_with_a_valid_frame_is_decoded(self, log_path):
+        # Same index, same offset, same length: only the bytes tell the
+        # two frames apart.
+        old = encode_frame(4, ["old"], 8, 11)
+        new = encode_frame(4, ["new"], 8, 11)
+        assert len(old) == len(new) and old != new
+        with BlockLogFile(log_path) as log:
+            log.append_block(0, ["first"], 8, None)
+            log.append_block(4, ["old"], 8, 11)
+            assert log.read_block(4) == (["old"], 8, 11)
+            offset, length = log.frame_extent(4)
+            assert length == len(new)
+            _rewrite(log_path, offset, new)
+            assert log.read_block(4) == (["new"], 8, 11)
+
+    def test_reappend_after_reset_is_decoded(self, log_path):
+        with BlockLogFile(log_path) as log:
+            log.append_block(6, ["before"], 8, None)
+            assert log.read_block(6) == (["before"], 8, None)
+            log.reset()
+            log.append_block(6, ["after!"], 8, None)
+            assert log.read_block(6) == (["after!"], 8, None)
 
 
 class TestTornWrites:

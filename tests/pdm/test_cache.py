@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.pdm import create_executor
 from repro.pdm.block import Block
 from repro.pdm.cache import attach_cache, detach_cache, max_cache_blocks
 from repro.pdm.faults import (
@@ -371,8 +372,10 @@ def _state(blk):
 class TestHandedOutBlocksNeverChange:
     """``Block.version`` keys the batch lookup's key columns.  That is
     sound only because no layer changes a block it has handed out: the
-    pool's ``fill``/``put``/``refresh`` install new blocks, and fault
-    corruption stores a scrambled copy in the block's place."""
+    pool's ``fill``/``put``/``refresh`` install new blocks, fault
+    corruption stores a scrambled copy in the block's place, and the file
+    executor's Blocks share a decoded payload only while its bytes are
+    unchanged."""
 
     def test_pool_fill_put_and_refresh(self):
         m = _machine(cache_blocks=2)
@@ -398,6 +401,40 @@ class TestHandedOutBlocksNeverChange:
         assert m.read_blocks([addr])[addr].payload == _payload("c")
         for blk, state in handed:
             assert _state(blk) == state
+
+    @pytest.mark.parametrize("cache_blocks", [None, 2])
+    def test_file_executor_reads_and_writes(self, tmp_path, cache_blocks):
+        # The file executor's log decodes a frame once per content, so
+        # reads of unchanged bytes share one payload object.
+        m = ParallelDiskMachine(
+            D, B, cache_blocks=cache_blocks,
+            executor=create_executor("file", directory=str(tmp_path)),
+        )
+        try:
+            addr = (0, 0)
+            handed = []
+
+            def hand_out():
+                blk = m.read_blocks([addr])[addr]
+                handed.append((blk, _state(blk)))
+
+            m.write_blocks([(addr, _payload("a"), 64)])
+            hand_out()
+            hand_out()
+            assert handed[0][0].payload is handed[1][0].payload
+            m.write_blocks([(addr, _payload("b"), 64)])
+            hand_out()
+            m.write_blocks([(addr, _payload("a"), 64)])
+            hand_out()
+            attach_faults(m, [])
+            hand_out()
+            m.write_blocks([(addr, _payload("c"), 64)])
+            hand_out()
+            assert handed[-1][0].payload == _payload("c")
+            for blk, state in handed:
+                assert _state(blk) == state
+        finally:
+            m.close()
 
     def test_corruption_replaces_the_stored_block(self):
         m = _machine()

@@ -5,7 +5,7 @@ import pytest
 from repro.core.basic_dict import BasicDictionary
 from repro.faults.plan import FaultPlan
 from repro.pdm import create_executor
-from repro.pdm.block import Block, BlockOverflowError
+from repro.pdm.block import Block, BlockOverflowError, payload_fingerprint
 from repro.pdm.disk import Disk
 from repro.pdm.faults import attach_faults
 from repro.pdm.machine import ParallelDiskMachine
@@ -120,6 +120,32 @@ class TestVerifyOncePerVersion:
         scrambled.checksum = original.checksum
         assert not scrambled.verify()
         assert original.verify()
+
+
+class TestWideIntFingerprint:
+    """The fingerprint sees every bit of an int, not just its 64-bit
+    residue: a corruption above bit 63 of a stored value must fail
+    verification."""
+
+    def test_values_equal_mod_2_64_differ(self):
+        assert payload_fingerprint([(7, 0, 5)], 96) != payload_fingerprint(
+            [(7, 0, 5 + 2**64)], 96
+        )
+        assert payload_fingerprint([(7, 0, 1 << 70)], 96) != (
+            payload_fingerprint([(7, 0, 1 << 71)], 96)
+        )
+        assert payload_fingerprint([-(1 << 70)], 64) != (
+            payload_fingerprint([1 << 70], 64)
+        )
+
+    def test_scramble_above_bit_63_fails_verify(self):
+        original = _sealed(payload=[(7, 0, (1 << 90) | 5)], used_bits=192)
+        scrambled = Block(original.capacity_bits)
+        scrambled.payload = [(7, 0, (1 << 90) | (1 << 70) | 5)]
+        scrambled.used_bits = original.used_bits
+        scrambled.checksum = original.checksum
+        assert original.verify()
+        assert not scrambled.verify()
 
 
 class TestFingerprintCounts:
