@@ -5,6 +5,11 @@ parallel rounds — at least ``D/2`` times fewer than the ``m`` rounds the
 sequential loop pays — while the per-operation I/O counters stay exactly
 what the sequential path charges (batching moves *rounds*, not work).
 
+The basic dictionary's arms also report (unenforced) the rounds of an
+``m``-key ``batch_insert`` of updates against ``m`` sequential ``upsert``
+calls, after asserting that both leave identical bucket contents and
+answers (the batch places keys exactly as the sequential loop would).
+
 Outputs: ``benchmarks/results/BENCH_batch.json`` (machine-readable, the
 acceptance artefact) plus ``batch_rounds.txt`` for EXPERIMENTS.md.
 """
@@ -81,6 +86,50 @@ def _measure(d, keys, m, *, num_disks, enforce):
     return row
 
 
+def _bucket_contents(d):
+    buckets = d.buckets
+    return [
+        buckets.peek((s, i))
+        for s in range(buckets.stripes)
+        for i in range(buckets.stripe_size)
+    ]
+
+
+def _measure_upserts(build, m, *, num_disks):
+    """Report-only: m updates as one batch_insert vs m sequential upserts,
+    on two identical dictionaries."""
+    seq, keys = build()
+    bat, _ = build()
+    updates = {k: (k * 7 + 1) % 251 for k in keys[:m]}
+    seq_out = {}
+    sequential = 0
+    for k, v in updates.items():
+        found, old, cost = seq.upsert(k, v)
+        seq_out[k] = (found, old)
+        sequential += cost.total_ios
+    bat_out, cost = bat.batch_insert(updates)
+    batched = cost.total_ios
+    assert bat_out == seq_out, "batch_insert answers differ from upserts"
+    assert _bucket_contents(bat) == _bucket_contents(seq), (
+        "batch_insert placed keys differently from sequential upserts"
+    )
+    answers = [bat.batch_lookup(keys)[0], seq.batch_lookup(keys)[0]]
+    assert [
+        {k: (r.found, r.value) for k, r in a.items()} for a in answers
+    ] == [{k: (True, updates.get(k, k % 251)) for k in keys}] * 2
+    return {
+        "op": "upsert",
+        "m": m,
+        "num_disks": num_disks,
+        "rounds_sequential": sequential,
+        "rounds_batched": batched,
+        "bound_ceil_m_over_d_plus_2": None,
+        "speedup": round(sequential / batched, 3),
+        "per_op_ios_unchanged": None,
+        "enforced": False,
+    }
+
+
 def test_batch_round_reduction(benchmark, save_table, results_dir):
     scenarios = []
     for label, build, num_disks, sizes in (
@@ -93,8 +142,14 @@ def test_batch_round_reduction(benchmark, save_table, results_dir):
         d, keys = build()
         for m, enforce in sizes:
             row = _measure(d, keys, m, num_disks=num_disks, enforce=enforce)
+            row["op"] = "lookup"
             row["dictionary"] = label
             scenarios.append(row)
+        if label.startswith("basic/"):
+            for m, _enforce in sizes:
+                row = _measure_upserts(build, m, num_disks=num_disks)
+                row["dictionary"] = label
+                scenarios.append(row)
 
     report = {
         "benchmark": "batch",
@@ -102,6 +157,8 @@ def test_batch_round_reduction(benchmark, save_table, results_dir):
             "rounds": "batched uniform lookups <= ceil(m/D) + 2",
             "speedup": "sequential/batched >= D/2 on enforced scenarios",
             "per_op": "single-op I/O counters identical before/after batch",
+            "upsert": "report only: batch_insert of m updates vs m upserts, "
+                      "identical contents and answers",
         },
         "scenarios": scenarios,
         "all_enforced_pass": True,  # _measure asserted before we got here
@@ -110,11 +167,11 @@ def test_batch_round_reduction(benchmark, save_table, results_dir):
     out.write_text(json.dumps(report, indent=2) + "\n")
 
     table = render_table(
-        ["dictionary", "m", "seq rounds", "batch rounds",
+        ["dictionary", "op", "m", "seq rounds", "batch rounds",
          "ceil(m/D)+2", "speedup"],
         [
-            [s["dictionary"], s["m"], s["rounds_sequential"],
-             s["rounds_batched"], s["bound_ceil_m_over_d_plus_2"],
+            [s["dictionary"], s["op"], s["m"], s["rounds_sequential"],
+             s["rounds_batched"], s["bound_ceil_m_over_d_plus_2"] or "-",
              f'{s["speedup"]:.1f}x']
             for s in scenarios
         ],

@@ -86,6 +86,22 @@ def _join_fragments(fragments: Sequence[Any]) -> Any:
     return type(first)(out) if not isinstance(first, list) else out
 
 
+def _unstaged(name: str):
+    """The stage hook of an uninstrumented batch: no kernel-stage span."""
+    return nullcontext()
+
+
+def _ints(inverse) -> List[int]:
+    """A probe plan's backend-shaped ``inverse`` as a list of ints."""
+    return inverse.tolist() if hasattr(inverse, "tolist") else list(inverse)
+
+
+def _key_locs(flat, d: int, n: int):
+    """Per-key ``(stripe, index)`` candidate tuples of a flat neighborhood
+    array (the round-packing telemetry input)."""
+    return [tuple(enumerate(flat[i * d : (i + 1) * d])) for i in range(n)]
+
+
 #: column-store generation stamps: a row handle held with a pool entry
 #: matches only the store generation (of one dictionary) that wrote it
 _next_store_token = itertools.count(1).__next__
@@ -425,6 +441,53 @@ class BasicDictionary(Dictionary):
             out[key] = result
         return out, cost
 
+    def _read_candidates(self, keys, stage):
+        """The front half of every batch operation: the candidate buckets
+        of ``keys`` (distinct, in order) fetched in one planned read.
+
+        Flat neighborhoods, the kernel probe plan (a multi-block bucket is
+        a run of consecutive blocks), then one
+        :meth:`~repro.pdm.machine.AbstractDiskMachine.read_planned_blocks`
+        call (the pool's cache filter, then the charged fetch of the
+        misses) priced by ``rounds_for_counts``.  Returns ``(flat, unique,
+        inverse, blocks, failed)``: ``blocks[u]`` is the plan's ``u``-th
+        bucket (a :class:`_Run` for a multi-block one) and ``failed`` maps
+        the plan index of every unreadable bucket to its fault.  ``stage``
+        opens the kernel-stage spans (or nothing).
+        """
+        machine = self.machine
+        buckets = self.buckets
+        kernel = self._batch_kernel
+        b = buckets.blocks_per_bucket
+        with stage("kernel.neighborhoods"):
+            flat = self._neighborhoods.batch_local_indices(keys, kernel=kernel)
+        with stage("kernel.plan"):
+            unique, max_per_disk, inverse = buckets.probe_plan(flat, kernel)
+        addrs = buckets.block_runs(unique)
+        blocks, failures = machine.read_planned_blocks(
+            addrs, machine.rounds_for_counts(len(addrs), max_per_disk * b)
+        )
+        # A partly read bucket could hide an item, so it fails whole,
+        # with the fault of its first unreadable block.
+        failed: Dict[int, Any] = {}
+        for u in range(len(unique)) if failures else ():
+            for addr in addrs[u * b : (u + 1) * b]:
+                if addr in failures:
+                    failed[u] = failures[addr]
+                    break
+        if b != 1:
+            blocks = [
+                _Run(() if u in failed else blocks[u * b : (u + 1) * b])
+                for u in range(len(unique))
+            ]
+        return flat, unique, inverse, blocks, failed
+
+    def _lost(self, unique, failed, cands) -> Dict[Tuple[int, int], Any]:
+        """``{loc: fault}`` of the unreadable buckets among ``cands`` (plan
+        indices, in stripe order)."""
+        loc_of = self.buckets.loc_of
+        return {loc_of(unique[u]): failed[u] for u in cands if u in failed}
+
     def batch_lookup(self, keys):
         """Answer many lookups in one round-packed probe.
 
@@ -437,13 +500,11 @@ class BasicDictionary(Dictionary):
         per-key :class:`DegradedLookupError` values (PR 3 semantics — the
         batch itself never fails wholesale).
 
-        One pipeline serves every configuration: flat neighborhoods, the
-        kernel probe plan (a multi-block bucket is a run of consecutive
-        blocks), one planned read (the pool's cache filter, then the
-        charged fetch of the misses), the kernel key match (a failed
-        bucket is an empty column), and :meth:`_settle_degraded` for just
-        the keys that lost a candidate.  Keys wider than 64 bits run it
-        on the reference kernel.
+        One pipeline serves every configuration: the planned read of
+        :meth:`_read_candidates`, the kernel key match (a failed bucket is
+        an empty column), and :meth:`_settle_degraded` for just the keys
+        that lost a candidate.  Keys wider than 64 bits run it on the
+        reference kernel.
         """
         keys = list(keys)
         for key in keys:
@@ -472,31 +533,9 @@ class BasicDictionary(Dictionary):
                     return span(machine, name, backend=kernel.name)
                 return nullcontext()
 
-            with stage("kernel.neighborhoods"):
-                flat = self._neighborhoods.batch_local_indices(
-                    distinct, kernel=kernel
-                )
-            with stage("kernel.plan"):
-                unique, max_per_disk, inverse = buckets.probe_plan(
-                    flat, kernel
-                )
-            addrs = buckets.block_runs(unique)
-            blocks, failures = machine.read_planned_blocks(
-                addrs, machine.rounds_for_counts(len(addrs), max_per_disk * b)
+            flat, unique, inverse, blocks, failed = self._read_candidates(
+                distinct, stage
             )
-            # A partly read bucket could hide an item, so it fails whole,
-            # with the fault of its first unreadable block.
-            failed: Dict[int, Any] = {}
-            for u in range(len(unique)) if failures else ():
-                for addr in addrs[u * b : (u + 1) * b]:
-                    if addr in failures:
-                        failed[u] = failures[addr]
-                        break
-            if b != 1:
-                blocks = [
-                    _Run(() if u in failed else blocks[u * b : (u + 1) * b])
-                    for u in range(len(unique))
-                ]
             with stage("kernel.match"):
                 matches = self._columns.match(
                     kernel, unique, blocks, distinct, inverse,
@@ -519,25 +558,17 @@ class BasicDictionary(Dictionary):
                     distinct_keys=len(distinct), buckets_read=len(unique)
                 )
                 annotate_round_packing(
-                    m,
-                    machine,
-                    buckets,
-                    [
-                        tuple(enumerate(flat[i * d : (i + 1) * d]))
-                        for i in range(len(distinct))
-                    ],
+                    m, machine, buckets, _key_locs(flat, d, len(distinct))
                 )
         out: Dict[int, Any] = {}
         cost = m.cost
-        candidates = list(map(int, inverse)) if failed else None
+        candidates = _ints(inverse) if failed else None
         for qi, key in enumerate(distinct):
             frags = per_key[qi]
             if failed:
-                lost = {
-                    buckets.loc_of(unique[ci]): failed[ci]
-                    for ci in candidates[qi * d : (qi + 1) * d]
-                    if ci in failed
-                }
+                lost = self._lost(
+                    unique, failed, candidates[qi * d : (qi + 1) * d]
+                )
                 if lost:
                     try:
                         # Same soundness rule as the single-key path: a
@@ -556,23 +587,75 @@ class BasicDictionary(Dictionary):
                 out[key] = LookupResult(False, None, cost)
         return out, cost
 
+    def _read_for_update(self, keys, m):
+        """The read half of a batch mutation: :meth:`_read_candidates`
+        without kernel-stage spans, plus what placement needs.
+
+        Returns ``(unique, candidates, staged, holders, failed)``:
+        ``candidates`` holds ``d`` plan indices per key (stripe order),
+        ``staged[u]`` the item list of plan bucket ``u`` (the fetched
+        payload itself, replaced — never mutated — when a key changes it),
+        and ``holders`` the uncharged scratch index of which fetched
+        buckets hold an item of which batch key.
+        """
+        flat, unique, inverse, blocks, failed = self._read_candidates(
+            keys, _unstaged
+        )
+        if m.span is not None:
+            if failed:
+                m.annotate(degraded=True, failed_buckets=len(failed))
+            annotate_round_packing(
+                m, self.machine, self.buckets,
+                _key_locs(flat, self.graph.degree, len(keys)),
+            )
+        staged = [blk.payload or [] for blk in blocks]
+        wanted = set(keys)
+        holders: Dict[int, List[int]] = {}
+        for u, payload in enumerate(staged):
+            for item in payload:
+                key = item[0]
+                if key in wanted:
+                    held = holders.get(key)
+                    if held is None:
+                        holders[key] = [u]
+                    elif held[-1] != u:
+                        held.append(u)
+        return unique, _ints(inverse), staged, holders, failed
+
+    def _write_staged(self, unique, staged, dirty) -> None:
+        """Write the dirty plan buckets back in one batch, in the order
+        they first changed."""
+        loc_of = self.buckets.loc_of
+        self.buckets.write_buckets(
+            {loc_of(unique[u]): staged[u] for u in dirty}
+        )
+
     def batch_insert(self, items):
         """Upsert many keys with one batched read and one batched write.
 
-        The candidate buckets of every key are fetched as a single
-        round-packed batch, the greedy ``d``-choice placements are computed
-        in arrival order against the staged in-memory contents (so earlier
-        keys' placements shape later keys' loads, exactly as if the inserts
-        ran sequentially), and every dirty bucket is written back in one
-        batch.  Per-key outcomes are ``(was_present, old_value)`` or a
-        typed error: keys with an unreadable candidate bucket refuse their
-        mutation upfront (:class:`DegradedModeError`), keys that would
-        overflow the structure or a bucket get :class:`CapacityExceeded`,
-        and neither poisons the rest of the batch.
+        The candidate buckets of every key are fetched by the planned read
+        :meth:`batch_lookup` uses.  The greedy ``d``-choice placements are
+        then computed in arrival order against the staged in-memory
+        contents (so earlier keys' placements shape later keys' loads,
+        exactly as if the inserts ran sequentially): a key's existing
+        fragments come from a scratch index of the fetched buckets, the
+        loads are the staged list lengths, each fragment goes to the first
+        least-loaded candidate in stripe order, and only the (at most
+        ``2k``) buckets the key changes are copied.  Every dirty bucket is
+        written back in one batch, keys' changes in stripe order.
+
+        Per-key outcomes are ``(was_present, old_value)`` or a typed error:
+        keys with an unreadable candidate bucket — a failed disk, or a bad
+        frame on the file executor — refuse their mutation upfront
+        (:class:`DegradedModeError`), keys that would overflow the
+        structure or a bucket get :class:`CapacityExceeded`, and neither
+        poisons the rest of the batch.
         """
         items = dict(items)
         for key in items:
             self._check_key(key)
+        d = self.graph.degree
+        cap = self.buckets.capacity_items
         with span(
             self.machine,
             "basic_dict.batch_insert",
@@ -581,65 +664,57 @@ class BasicDictionary(Dictionary):
             blocks_per_bucket=self.buckets.blocks_per_bucket,
             batch_size=len(items),
         ) as m:
-            all_locs = self._neighborhoods.batch_striped(
-                list(items), kernel=self._kernel
+            unique, candidates, staged, holders, failed = (
+                self._read_for_update(list(items), m)
             )
-            wanted = list(
-                dict.fromkeys(loc for locs in all_locs.values() for loc in locs)
-            )
-            if self.machine.faults is None:
-                contents = self.buckets.read_buckets(wanted)
-                failures: Dict[Tuple[int, int], Any] = {}
-            else:
-                contents, failures = self.buckets.read_buckets_degraded(wanted)
-                if failures and m.span is not None:
-                    m.annotate(degraded=True, failed_buckets=len(failures))
-            annotate_round_packing(
-                m, self.machine, self.buckets, all_locs.values()
-            )
-
             out: Dict[int, Any] = {}
-            staged = dict(contents)
-            dirty: Dict[Tuple[int, int], List[Any]] = {}
+            dirty: Dict[int, None] = {}
             new_keys = 0
-            for key, value in items.items():
-                locs = all_locs[key]
-                lost = {l: failures[l] for l in locs if l in failures}
-                if lost:
-                    out[key] = DegradedModeError(
-                        f"upsert of key {key}: {len(lost)} of {self.degree} "
-                        f"candidate buckets unreadable; refusing a placement "
-                        f"that could duplicate the key",
-                        key=key,
-                        op="upsert",
-                        failures=lost,
-                    )
-                    continue
-                trial = {loc: list(staged[loc]) for loc in locs}
-                old_fragments: List[Tuple[int, Any]] = []
-                for loc in locs:
-                    kept = [it for it in trial[loc] if it[0] != key]
-                    if len(kept) != len(trial[loc]):
-                        old_fragments.extend(
-                            (t, frag)
-                            for (k2, t, frag) in trial[loc]
-                            if k2 == key
+            for qi, (key, value) in enumerate(items.items()):
+                cands = candidates[qi * d : (qi + 1) * d]
+                if failed:
+                    lost = self._lost(unique, failed, cands)
+                    if lost:
+                        out[key] = DegradedModeError(
+                            f"upsert of key {key}: {len(lost)} of "
+                            f"{self.degree} candidate buckets unreadable; "
+                            f"refusing a placement that could duplicate "
+                            f"the key",
+                            key=key,
+                            op="upsert",
+                            failures=lost,
                         )
-                        trial[loc] = kept
+                        continue
+                # changed[u]: the new item list of a bucket this key changes
+                changed: Dict[int, List[Any]] = {}
+                old_fragments: List[Tuple[int, Any]] = []
+                for u in holders.get(key, ()):
+                    if u in cands:
+                        bucket = staged[u]
+                        changed[u] = [it for it in bucket if it[0] != key]
+                        old_fragments.extend(
+                            (t, frag) for (k2, t, frag) in bucket if k2 == key
+                        )
                 was_present = bool(old_fragments)
                 if not was_present and self.size + new_keys >= self.capacity:
                     out[key] = CapacityExceeded(
                         f"dictionary at capacity N={self.capacity}"
                     )
                     continue
-                fragments = _split_value(value, self.k)
-                loads = {loc: len(trial[loc]) for loc in locs}
+                loads = [len(staged[u]) for u in cands]
+                for u, bucket in changed.items():
+                    loads[cands.index(u)] = len(bucket)
                 overflow = False
-                for t, frag in enumerate(fragments):
-                    target = min(locs, key=lambda loc: (loads[loc], loc))
-                    trial[target].append((key, t, frag))
-                    loads[target] += 1
-                    if loads[target] > self.buckets.capacity_items:
+                for t, frag in enumerate(_split_value(value, self.k)):
+                    low = min(loads)
+                    j = loads.index(low)
+                    u = cands[j]
+                    bucket = changed.get(u)
+                    if bucket is None:
+                        changed[u] = bucket = list(staged[u])
+                    bucket.append((key, t, frag))
+                    loads[j] = low + 1
+                    if low + 1 > cap:
                         overflow = True
                         break
                 if overflow:
@@ -649,12 +724,14 @@ class BasicDictionary(Dictionary):
                         f"array (stripe_size) or larger blocks"
                     )
                     continue
-                for loc in locs:
-                    if trial[loc] != staged[loc]:
-                        staged[loc] = trial[loc]
-                        dirty[loc] = trial[loc]
-                    if len(staged[loc]) > self._max_load_seen:
-                        self._max_load_seen = len(staged[loc])
+                for u in sorted(changed, key=cands.index):
+                    bucket = changed[u]
+                    if bucket != staged[u]:
+                        staged[u] = bucket
+                        dirty[u] = None
+                top = max(loads)
+                if top > self._max_load_seen:
+                    self._max_load_seen = top
                 if was_present:
                     old_fragments.sort()
                     out[key] = (
@@ -666,7 +743,7 @@ class BasicDictionary(Dictionary):
                     out[key] = (False, None)
             if dirty:
                 try:
-                    self.buckets.write_buckets(dirty)
+                    self._write_staged(unique, staged, dirty)
                 except DiskFailure as exc:
                     # write_blocks is atomic — nothing was mutated.  Every
                     # key that thought it succeeded degrades, per key.
@@ -692,14 +769,19 @@ class BasicDictionary(Dictionary):
     def batch_delete(self, keys):
         """Delete many keys with one batched read and one batched write.
 
-        Per-key outcomes are ``removed`` booleans; keys with unreadable
-        candidate buckets refuse upfront with :class:`DegradedModeError`
-        (a delete that cannot see every candidate might leave the key
-        alive in a failed bucket).
+        The same planned read and scratch holder index as
+        :meth:`batch_insert`; each key's holding buckets lose its items
+        (in stripe order) and every dirty bucket is written back in one
+        batch.  Per-key outcomes are ``removed`` booleans; keys with an
+        unreadable candidate bucket — a failed disk, or a bad frame on
+        the file executor — refuse upfront with
+        :class:`DegradedModeError` (a delete that cannot see every
+        candidate might leave the key alive in a failed bucket).
         """
         keys = list(dict.fromkeys(keys))
         for key in keys:
             self._check_key(key)
+        d = self.graph.degree
         with span(
             self.machine,
             "basic_dict.batch_delete",
@@ -708,52 +790,35 @@ class BasicDictionary(Dictionary):
             blocks_per_bucket=self.buckets.blocks_per_bucket,
             batch_size=len(keys),
         ) as m:
-            all_locs = self._neighborhoods.batch_striped(
-                keys, kernel=self._kernel
+            unique, candidates, staged, holders, failed = (
+                self._read_for_update(keys, m)
             )
-            wanted = list(
-                dict.fromkeys(loc for locs in all_locs.values() for loc in locs)
-            )
-            if self.machine.faults is None:
-                contents = self.buckets.read_buckets(wanted)
-                failures: Dict[Tuple[int, int], Any] = {}
-            else:
-                contents, failures = self.buckets.read_buckets_degraded(wanted)
-                if failures and m.span is not None:
-                    m.annotate(degraded=True, failed_buckets=len(failures))
-            annotate_round_packing(
-                m, self.machine, self.buckets, all_locs.values()
-            )
-
             out: Dict[int, Any] = {}
-            staged = dict(contents)
-            dirty: Dict[Tuple[int, int], List[Any]] = {}
+            dirty: Dict[int, None] = {}
             removed_keys = 0
-            for key in keys:
-                locs = all_locs[key]
-                lost = {l: failures[l] for l in locs if l in failures}
-                if lost:
-                    out[key] = DegradedModeError(
-                        f"delete of key {key}: {len(lost)} of {self.degree} "
-                        f"candidate buckets unreadable",
-                        key=key,
-                        op="delete",
-                        failures=lost,
-                    )
-                    continue
-                removed = False
-                for loc in locs:
-                    kept = [it for it in staged[loc] if it[0] != key]
-                    if len(kept) != len(staged[loc]):
-                        staged[loc] = kept
-                        dirty[loc] = kept
-                        removed = True
-                out[key] = removed
-                if removed:
+            for qi, key in enumerate(keys):
+                cands = candidates[qi * d : (qi + 1) * d]
+                if failed:
+                    lost = self._lost(unique, failed, cands)
+                    if lost:
+                        out[key] = DegradedModeError(
+                            f"delete of key {key}: {len(lost)} of "
+                            f"{self.degree} candidate buckets unreadable",
+                            key=key,
+                            op="delete",
+                            failures=lost,
+                        )
+                        continue
+                held = [u for u in holders.get(key, ()) if u in cands]
+                for u in sorted(held, key=cands.index):
+                    staged[u] = [it for it in staged[u] if it[0] != key]
+                    dirty[u] = None
+                out[key] = bool(held)
+                if held:
                     removed_keys += 1
             if dirty:
                 try:
-                    self.buckets.write_buckets(dirty)
+                    self._write_staged(unique, staged, dirty)
                 except DiskFailure as exc:
                     for key, res in list(out.items()):
                         if res is True:

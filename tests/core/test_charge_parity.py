@@ -29,8 +29,13 @@ import random
 
 import pytest
 
+from repro.core.basic_dict import BasicDictionary
 from repro.core.dynamic_dict import DynamicDictionary
-from repro.core.interface import DegradedLookupError, LookupResult
+from repro.core.interface import (
+    DegradedLookupError,
+    DegradedModeError,
+    LookupResult,
+)
 from repro.core.recursive_dict import RecursiveLoadBalancedDictionary
 from repro.core.static_dict import StaticDictionary
 from repro.faults.plan import FaultPlan
@@ -270,3 +275,150 @@ SNAPSHOTS = {
 def test_replay_matches_snapshot(config, faults):
     killed = KILLED[config] if faults == "kill_disks" else []
     assert CONFIGS[config](killed) == SNAPSHOTS[(config, faults)]
+
+
+# -- the basic dictionary's batch mutations ----------------------------------
+#
+# Seeded, interleaved ``batch_insert`` (new keys, updates, same-value
+# updates, keys repeated across batches), ``batch_delete`` (present,
+# absent and repeated keys) and ``batch_lookup`` on the Section 4.1
+# dictionary.  Besides outcomes, costs, IOStats and spans, each replay
+# digests every bucket's contents, ``max_load_seen``, the memory peak,
+# and — with a pool — the pool's counters and LRU order, so the greedy
+# placements and the dirty-bucket write order are pinned too.  The
+# digests were captured from the per-key copy-and-rescan placement loop
+# over ``read_buckets``/``read_buckets_degraded`` that the planned-read
+# batch mutations replaced.
+
+#: four storage shapes plus ``k = 2`` satellite fragments (over a pool,
+#: whose LRU order pins the dirty-bucket write order of multi-bucket keys)
+BASIC_CONFIGS = ("healthy", "kill_disks", "pool", "multi-block", "fragments")
+BASIC_DISKS = 8
+BASIC_B = 8
+
+
+def _basic_outcome(res):
+    if isinstance(res, DegradedLookupError):
+        return ("degraded", res.membership, list(res.failures))
+    if isinstance(res, DegradedModeError):
+        return (
+            "refused", res.op, str(res),
+            [(loc, type(f).__name__) for loc, f in res.failures.items()],
+        )
+    if isinstance(res, Exception):
+        return ("error", type(res).__name__, str(res))
+    return _outcome(res)
+
+
+def _basic_call(fn, *args):
+    try:
+        out, cost = fn(*args)
+    except Exception as exc:  # a raised error is part of the outcome
+        return _basic_outcome(exc)
+    return ({k: _basic_outcome(v) for k, v in out.items()}, _cost(cost))
+
+
+def _replay_basic(config):
+    machine = ParallelDiskMachine(
+        BASIC_DISKS, BASIC_B, item_bits=64,
+        cache_blocks=10 if config in ("pool", "fragments") else None,
+    )
+    d = BasicDictionary(
+        machine, universe_size=U, capacity=96, seed=4, load_slack=1.0,
+        bucket_capacity=2 * BASIC_B if config == "multi-block" else None,
+        k_fragments=2 if config == "fragments" else 1,
+    )
+    recorder = attach_spans(machine)
+    if config == "kill_disks":
+        # Disk 3 is down for a window in the middle of the replay, so
+        # batches before, across and after it all run.
+        attach_faults(
+            machine,
+            FaultPlan.kill_disks(
+                [3], num_disks=BASIC_DISKS, start=40, end=70
+            ).events,
+        )
+    rng = random.Random(11)
+    keys = [(7 + 97 * i) % U for i in range(150)]
+
+    def value(key, variant):
+        v = (key * 7 + variant) % (1 << SIGMA)
+        return f"v{v:05d}" if config == "fragments" else v
+
+    pool = machine.cache
+    observed = []
+    lru = []  # the pool's LRU order after every op
+
+    def call(fn, *args):
+        observed.append(_basic_call(fn, *args))
+        if pool is not None:
+            lru.append(pool.cached_addresses())
+
+    for r in range(10):
+        batch = {k: value(k, rng.randrange(2)) for k in rng.sample(keys, 28)}
+        call(d.batch_insert, batch)
+        doomed = rng.sample(keys, 6)
+        call(d.batch_delete, doomed + doomed[:2])
+        call(d.batch_lookup, rng.sample(keys, 16))
+    call(d.batch_lookup, keys)
+    sealed = _seal(machine, recorder, observed)
+    buckets = d.buckets
+    sealed["buckets"] = _digest([
+        buckets.peek((s, i))
+        for s in range(buckets.stripes)
+        for i in range(buckets.stripe_size)
+    ])
+    sealed["loads"] = _digest(
+        (d.size, d.max_load_seen, machine.memory.peak_words)
+    )
+    if pool is not None:
+        sealed["pool"] = _digest((
+            sorted(pool.stats.as_dict().items()), lru, pool.dirty_addresses(),
+        ))
+    return sealed
+
+
+BASIC_SNAPSHOTS = {
+    "healthy": {
+        "outcomes": "7329c08d4b41d31f",
+        "stats": "499843dcf32173fd",
+        "spans": "f32ed78f16853d2c",
+        "buckets": "7dadc378125f9a2c",
+        "loads": "0bf68a2c9151673d",
+    },
+    "kill_disks": {
+        "outcomes": "d87e79efc63208a4",
+        "stats": "f53dc25a95e8176d",
+        "spans": "6460ea0f7d21a8cb",
+        "buckets": "a3f6293d43e59aad",
+        "loads": "3cfbcfd7e970f6d5",
+    },
+    "pool": {
+        "outcomes": "3a75498613afd72a",
+        "stats": "3949155b513c3e82",
+        "spans": "55edd3b117816151",
+        "buckets": "7dadc378125f9a2c",
+        "loads": "9894527b5e18a844",
+        "pool": "9204f0a674229e18",
+    },
+    "multi-block": {
+        "outcomes": "546b0f7198665795",
+        "stats": "b243b1f278fe742c",
+        "spans": "ba279e0ffaa3902f",
+        "buckets": "dd514e81961f3a37",
+        "loads": "9e6e04b2b79be589",
+    },
+    "fragments": {
+        "outcomes": "685829b60e672d72",
+        "stats": "68f87c4225627b25",
+        "spans": "66efe034e3bf0695",
+        "buckets": "ac3335b43b66e5f8",
+        "loads": "ecef584ae477792b",
+        "pool": "cd2f4c8abf7a2f90",
+    },
+}
+
+
+@pytest.mark.parametrize("config", BASIC_CONFIGS)
+def test_basic_batch_mutations_match_snapshot(config):
+    assert _replay_basic(config) == BASIC_SNAPSHOTS[config]

@@ -17,9 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.basic_dict import BasicDictionary
 from repro.core.dynamic_dict import DynamicDictionary
 from repro.core.facade import ParallelDiskDictionary
-from repro.core.interface import DegradedLookupError, LookupResult
+from repro.core.interface import (
+    DegradedLookupError,
+    DegradedModeError,
+    LookupResult,
+)
 from repro.core.static_dict import StaticDictionary
 from repro.faults import FaultPlan
 from repro.fs.blockfile import HEADER_SIZE
@@ -215,7 +220,13 @@ def _corrupt_victim_field(machine, array, graph, stripe):
     """Flip a byte inside the frame holding ``min(ITEMS)``'s field on
     ``stripe``: the frame's CRC no longer matches."""
     loc = (stripe, dict(graph.striped_neighbors(min(ITEMS)))[stripe])
-    (disk, block), _slot = array._block_addr(loc)
+    addr, _slot = array._block_addr(loc)
+    _corrupt_frame(machine, addr)
+
+
+def _corrupt_frame(machine, addr):
+    """Flip a byte inside the frame of block ``addr``."""
+    disk, block = addr
     log = machine.executor._logs[disk]
     offset, _length = log.frame_extent(block)
     with open(log.path, "r+b") as handle:
@@ -287,6 +298,59 @@ def test_bad_frame_without_injector_leaks_on_batch_delete(tmp_path):
         assert out == {key: True for key in keys}
         after, _cost = d.batch_lookup(keys)
         assert all(not after[key].found for key in keys)
+    finally:
+        machine.close()
+
+
+def test_bad_frame_without_injector_refuses_basic_mutations_per_key(
+    tmp_path,
+):
+    """Basic batch upserts and deletes on the file executor with a CRC-bad
+    bucket frame and no injector: only the keys with the bad bucket among
+    their candidates are refused (DegradedModeError); every other key
+    commits and reads back, and no raw IOFault escapes the batch."""
+    machine = _file_machine(tmp_path, 8)
+    try:
+        d = BasicDictionary(
+            machine, universe_size=1 << 16, capacity=64, stripe_size=8,
+            seed=5,
+        )
+        out, _cost = d.batch_insert(ITEMS)
+        assert all(res == (False, None) for res in out.values())
+        victim = min(ITEMS)
+        bad = d.graph.striped_neighbors(victim)[2]
+        _corrupt_frame(machine, d.buckets.block_addrs([bad])[0])
+
+        def exposed(key):
+            return bad in d.graph.striped_neighbors(key)
+
+        fresh = [k for k in range(1, 1 << 16, 89) if k not in ITEMS][:24]
+        present = sorted(ITEMS)[:16]
+        upserts = {k: k % 1000 for k in present + fresh}
+        out, _cost = d.batch_insert(upserts)
+        assert any(exposed(k) for k in upserts)
+        assert any(not exposed(k) for k in upserts)
+        for key, res in out.items():
+            if exposed(key):
+                assert isinstance(res, DegradedModeError), res
+                assert list(res.failures) == [bad]
+                assert isinstance(res.failures[bad], IOFault)
+            else:
+                assert res == (key in ITEMS, ITEMS.get(key)), res
+        safe = [k for k in upserts if not exposed(k)]
+        found, _cost = d.batch_lookup(safe)
+        assert all(found[k].value == upserts[k] for k in safe)
+
+        doomed = sorted(ITEMS)[16:] + fresh[:4]
+        out, _cost = d.batch_delete(doomed)
+        for key in doomed:
+            if exposed(key):
+                assert isinstance(out[key], DegradedModeError), out[key]
+            else:
+                assert out[key] is (key in ITEMS or key in safe), out[key]
+        gone = [k for k in doomed if not exposed(k)]
+        after, _cost = d.batch_lookup(gone)
+        assert gone and all(not after[k].found for k in gone)
     finally:
         machine.close()
 
