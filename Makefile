@@ -73,10 +73,10 @@ bench-throughput-batched:
 	mkdir -p benchmarks/results
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_throughput.py -q --benchmark-disable -k batched
 
-# Wall-clock latency percentiles per op class/layer, per-disk utilization,
-# and the always-on tracker's self-measured overhead, written as
-# BENCH_latency.json (a report; the no-recorder cost is gated by call
-# counts in tests/obs/test_detached_cost.py).
+# Wall-clock latency percentiles per op class, self time per layer and
+# kernel stage from the layer tracer (repro.obs.layers), and per-disk
+# utilization, written as BENCH_latency.json (a report; the no-recorder
+# cost is gated by call counts in tests/obs/test_detached_cost.py).
 bench-latency:
 	mkdir -p benchmarks/results
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_latency.py -q --benchmark-disable

@@ -107,7 +107,7 @@ class NeighborhoodMemo:
             return t
         self.misses += 1
         t = self.graph.striped_neighbors(key)
-        self._memoize(key, t)
+        self._memoize(key, t, (j for _, j in t))
         return t
 
     def local_indices(self, key: int) -> array:
@@ -157,7 +157,7 @@ class NeighborhoodMemo:
             t = evaluated.get(key)
             if t is None:  # re-miss after a mid-batch reset
                 t = self.graph.striped_neighbors(key)
-            self._memoize(key, t)
+            self._memoize(key, t, (j for _, j in t))
             out[key] = t
         return out
 
@@ -195,7 +195,7 @@ class NeighborhoodMemo:
             else:
                 chunk = flat_missing[i * d : (i + 1) * d]
             out.extend(chunk)
-            self._memoize(key, tuple(enumerate(chunk)))
+            self._memoize(key, tuple(enumerate(chunk)), chunk)
         return out
 
     def precompute(self, keys: Iterable[int]) -> int:
@@ -205,7 +205,11 @@ class NeighborhoodMemo:
             self.striped(key)
         return len(self._tuples)
 
-    def _memoize(self, key: int, t: Tuple[Tuple[int, int], ...]) -> None:
+    def _memoize(
+        self, key: int, t: Tuple[Tuple[int, int], ...], local: Iterable[int]
+    ) -> None:
+        """Memoize ``t``; ``local`` is its flat local indices (the batch
+        path passes its ``array('I')`` chunk for one C-level ``extend``)."""
         if self._frozen:
             return
         if len(self._tuples) >= self.max_keys:
@@ -220,7 +224,7 @@ class NeighborhoodMemo:
                 return
             self._charged_words += self.words_per_key
         self._offsets[key] = len(self._flat)
-        self._flat.extend(j for _, j in t)
+        self._flat.extend(local)
         self._tuples[key] = t
 
     def reset(self) -> None:

@@ -13,15 +13,16 @@ counters and turns them into:
   and plain-text table artefacts;
 * :mod:`repro.obs.harness` — instrumented workload replay behind the
   ``python -m repro.obs`` CLI;
-* :mod:`repro.obs.wallclock` — the *nondeterministic* wall channel: real
-  time and executor lanes, kept strictly beside (never inside) the
-  deterministic record;
-* :mod:`repro.obs.latency` — wall-latency histograms with p50/p95/p99,
-  per-layer attribution, per-disk utilization timelines, and the
-  always-on :class:`~repro.obs.latency.LatencyTracker`.
+* :mod:`repro.obs.layers` — the one wall-time measurement: an
+  outside-in tracer that wraps each layer's public functions while
+  installed and splits each operation's real time by layer;
+* :mod:`repro.obs.latency` — wall-latency histograms with p50/p95/p99
+  (the always-on :class:`~repro.obs.latency.LatencyTracker`) and
+  per-disk utilization timelines on the logical round clock.
 
 Everything here is off the hot path: with no recorder attached, the
-simulator pays a single ``is None`` check per operation.
+simulator pays a single ``is None`` check per operation, and nothing is
+patched until a :class:`~repro.obs.layers.LayerTracer` installs itself.
 """
 
 from repro.obs.export import (
@@ -33,15 +34,8 @@ from repro.obs.export import (
     write_table_artifact,
 )
 from repro.obs.harness import ObsReport, report_events, run_instrumented
-from repro.obs.latency import (
-    KERNEL_PREFIX,
-    LAYERS,
-    DiskTimeline,
-    LatencyTracker,
-    classify_layer,
-    collect_latency,
-    percentile_rows,
-)
+from repro.obs.latency import DiskTimeline, LatencyTracker, percentile_rows
+from repro.obs.layers import LAYERS, LayerTracer, layer_totals
 from repro.obs.metrics import (
     DEFAULT_IO_BUCKETS,
     DEFAULT_LATENCY_BUCKETS_US,
@@ -68,16 +62,6 @@ from repro.obs.monitors import (
     theorem7_lookup_monitor,
     theorem7_update_monitor,
 )
-from repro.obs.wallclock import (
-    LANES,
-    OverheadReport,
-    current_lane,
-    disable_wall_clock,
-    enable_wall_clock,
-    lane,
-    measure_overhead,
-    wall_enabled,
-)
 
 __all__ = [
     "BoundMonitor",
@@ -89,37 +73,28 @@ __all__ = [
     "DiskTimeline",
     "Gauge",
     "Histogram",
-    "KERNEL_PREFIX",
-    "LANES",
     "LAYERS",
     "LatencyTracker",
+    "LayerTracer",
     "MetricsRegistry",
     "MonitorSet",
     "ObsReport",
-    "OverheadReport",
     "RecoveryMonitor",
     "SpanBudgetMonitor",
     "Violation",
     "chrome_trace",
     "chrome_trace_events",
-    "classify_layer",
-    "collect_latency",
     "collect_load_distribution",
     "collect_machine",
     "collect_recovery",
     "collect_spans",
-    "current_lane",
     "default_monitors",
-    "disable_wall_clock",
-    "enable_wall_clock",
-    "lane",
+    "layer_totals",
     "lemma3_load_monitor",
-    "measure_overhead",
     "percentile_rows",
     "report_events",
     "run_instrumented",
     "span_events",
-    "wall_enabled",
     "theorem6_lookup_monitor",
     "theorem7_lookup_monitor",
     "theorem7_update_monitor",

@@ -11,7 +11,7 @@ Examples::
     python -m repro.obs --structure basic --operations 512
     python -m repro.obs --structure both --chrome-trace trace.json
     python -m repro.obs --structure dynamic --strict --json report.json
-    python -m repro.obs --percentiles --cache 64
+    python -m repro.obs --wall --cache 64
 
 Exit codes:
 
@@ -89,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="simulated",
         help="physical backend (repro.pdm.executors): the in-memory "
         "simulator or thread-per-disk real files. Every deterministic "
-        "output is identical across backends; with --wall the file "
-        "backend adds executor.* transfer metrics",
+        "output is identical across backends",
     )
     parser.add_argument(
         "--executor-dir",
@@ -108,15 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--wall",
         action="store_true",
-        help="also record the wall-clock channel (real time + lanes); "
-        "prints the latency/utilization addendum and adds the real-time "
-        "track group to --chrome-trace. Charged costs are unaffected.",
-    )
-    parser.add_argument(
-        "--percentiles",
-        action="store_true",
-        help="print the p50/p95/p99 wall-latency table and per-disk "
-        "utilization summary (implies --wall and I/O tracing)",
+        help="also time the replay under the layer tracer "
+        "(repro.obs.layers); prints p50/p95/p99 wall latency per op, the "
+        "per-layer self-time table and the per-disk utilization summary "
+        "(implies I/O tracing). Charged costs and every written report "
+        "are unaffected.",
     )
     parser.add_argument(
         "--profile",
@@ -165,8 +160,6 @@ def _suffixed(path: pathlib.Path, tag: str, multi: bool) -> pathlib.Path:
 def _run(args: argparse.Namespace) -> int:
     structures = list(STRUCTURES) if args.structure == "both" else [args.structure]
     multi = len(structures) > 1
-    wall = args.wall or args.percentiles
-
     profiler = None
     if args.profile:
         import cProfile
@@ -187,11 +180,11 @@ def _run(args: argparse.Namespace) -> int:
                 operations=args.operations,
                 sigma=args.sigma,
                 seed=args.seed,
-                trace=args.chrome_trace is not None or args.percentiles,
+                trace=args.chrome_trace is not None,
                 strict=args.strict,
                 batch=args.batch,
                 cache_blocks=args.cache,
-                wall=wall,
+                wall=args.wall,
                 executor=args.executor,
                 executor_dir=(
                     None if args.executor_dir is None
@@ -210,7 +203,7 @@ def _run(args: argparse.Namespace) -> int:
 
         if not args.quiet:
             print(report.render_text())
-            if wall:
+            if args.wall:
                 print()
                 print(report.render_wall_text())
             print()
@@ -225,7 +218,6 @@ def _run(args: argparse.Namespace) -> int:
                 report.recorder,
                 report.tracer,
                 num_disks=args.disks,
-                wall=wall,
             )
             print(f"wrote Chrome trace to {path}", file=sys.stderr)
         # Releases executor-held threads/descriptors (and the throwaway

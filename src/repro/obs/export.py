@@ -16,17 +16,9 @@ events so it loads directly in Perfetto / ``chrome://tracing``:
   per batched I/O, so stripe discipline (all disks busy every round) is
   visible at a glance.
 
-With ``wall=True`` (and a recorder that ran under
-:func:`repro.obs.wallclock.enable_wall_clock`) a third track group is
-added:
-
-* process ``3`` ("wall clock") renders the *real-time* span timeline —
-  one track per executor lane, slice positions and widths in measured
-  microseconds relative to the recorder's wall origin.  This group is
-  explicitly nondeterministic (it changes run to run); it exists to be
-  eyeballed next to the logical groups, never to be committed or diffed.
-  Without ``wall=True`` the output is byte-identical to what this module
-  always produced.
+Wall time never enters these exports: the layer tracer
+(:mod:`repro.obs.layers`) measures it beside them, so a trace written
+from a timed run is byte-identical to one from an untimed run.
 
 .. _trace event format:
    https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -48,15 +40,9 @@ US_PER_ROUND = 1024
 # -- JSON Lines ---------------------------------------------------------------
 
 
-def span_events(
-    recorder: SpanRecorder, *, wall: bool = False
-) -> List[Dict[str, Any]]:
+def span_events(recorder: SpanRecorder) -> List[Dict[str, Any]]:
     """One flat event per span (pre-order), with tree structure encoded as
-    ``parent`` indices — convenient for line-oriented diffing.
-
-    With ``wall=True``, spans stamped by the wall channel additionally
-    carry ``wall_ns`` / ``lane`` fields.  The default output never does —
-    it must stay diffable run to run."""
+    ``parent`` indices — convenient for line-oriented diffing."""
     events: List[Dict[str, Any]] = []
 
     def emit(node: Span, parent: Optional[int], depth: int) -> None:
@@ -65,9 +51,6 @@ def span_events(
         record["type"] = "span"
         record["parent"] = parent
         record["depth"] = depth
-        if wall and node.wall_ns is not None:
-            record["wall_ns"] = node.wall_ns
-            record["lane"] = node.lane
         events.append(record)
         for child in node.children:
             emit(child, node.index, depth + 1)
@@ -135,78 +118,14 @@ def _span_slices(
     return dur
 
 
-def _wall_slices(
-    recorder: SpanRecorder, out: List[Dict[str, Any]]
-) -> None:
-    """Process-3 lane tracks: every wall-stamped span at its measured
-    real time (us since the recorder's wall origin), one Chrome tid per
-    executor lane in first-seen order."""
-    stamped: List[Span] = []
-
-    def collect(node: Span) -> None:
-        if node.wall_start_ns is not None and node.wall_ns is not None:
-            stamped.append(node)
-        for child in node.children:
-            collect(child)
-
-    for root in recorder.roots:
-        collect(root)
-    if not stamped:
-        return
-    origin = getattr(recorder, "wall_origin_ns", None)
-    if origin is None:
-        origin = min(node.wall_start_ns for node in stamped)
-    out.append(
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 3,
-            "args": {"name": "wall clock (real us, one track per lane)"},
-        }
-    )
-    lane_tids: Dict[str, int] = {}
-    for node in stamped:
-        lane = node.lane or "owner-lane"
-        tid = lane_tids.get(lane)
-        if tid is None:
-            tid = lane_tids[lane] = len(lane_tids)
-            out.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 3,
-                    "tid": tid,
-                    "args": {"name": lane},
-                }
-            )
-        out.append(
-            {
-                "name": node.name,
-                "cat": "wall",
-                "ph": "X",
-                "pid": 3,
-                "tid": tid,
-                "ts": (node.wall_start_ns - origin) / 1000.0,
-                "dur": max(node.wall_ns / 1000.0, 0.001),
-                "args": {
-                    "lane": lane,
-                    "wall_ns": node.wall_ns,
-                    "charged_ios": node.cost.total_ios,
-                },
-            }
-        )
-
-
 def chrome_trace_events(
     recorder: Optional[SpanRecorder] = None,
     tracer=None,
     *,
     num_disks: Optional[int] = None,
-    wall: bool = False,
 ) -> List[Dict[str, Any]]:
     """Build the ``traceEvents`` list from a span recorder and/or an I/O
-    trace recorder.  ``wall=True`` adds the real-time process-3 track
-    group for wall-stamped spans (and changes nothing else)."""
+    trace recorder."""
     events: List[Dict[str, Any]] = []
     if recorder is not None:
         events.append(
@@ -261,8 +180,6 @@ def chrome_trace_events(
                     "args": {"name": f"disk {disk_id}"},
                 }
             )
-    if wall and recorder is not None:
-        _wall_slices(recorder, events)
     return events
 
 
@@ -271,12 +188,11 @@ def chrome_trace(
     tracer=None,
     *,
     num_disks: Optional[int] = None,
-    wall: bool = False,
 ) -> Dict[str, Any]:
     """The full trace JSON object (``{"traceEvents": [...]}``)."""
     return {
         "traceEvents": chrome_trace_events(
-            recorder, tracer, num_disks=num_disks, wall=wall
+            recorder, tracer, num_disks=num_disks
         ),
         "displayTimeUnit": "ms",
         "otherData": {
@@ -291,12 +207,11 @@ def write_chrome_trace(
     tracer=None,
     *,
     num_disks: Optional[int] = None,
-    wall: bool = False,
 ) -> pathlib.Path:
     path = pathlib.Path(path)
     with path.open("w") as fh:
         json.dump(
-            chrome_trace(recorder, tracer, num_disks=num_disks, wall=wall),
+            chrome_trace(recorder, tracer, num_disks=num_disks),
             fh,
             sort_keys=True,
             indent=1,

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.reporting import render_table
 from repro.core.basic_dict import BasicDictionary
 from repro.core.dynamic_dict import DynamicDictionary
-from repro.obs import wallclock
 from repro.obs.export import span_events
-from repro.obs.latency import DiskTimeline, collect_latency, percentile_rows
+from repro.obs.latency import DiskTimeline, LatencyTracker, percentile_rows
+from repro.obs.layers import LayerTracer, layer_totals
 from repro.obs.metrics import (
     MetricsRegistry,
     collect_batches,
@@ -30,7 +31,6 @@ from repro.obs.metrics import (
     collect_spans,
 )
 from repro.obs.monitors import MonitorSet, default_monitors
-from repro.obs.wallclock import enable_wall_clock
 from repro.pdm.executors import create_executor
 from repro.pdm.machine import ParallelDiskMachine
 from repro.pdm.spans import SpanRecorder, attach_spans
@@ -66,11 +66,14 @@ class ObsReport:
     machine: Any = None
     dictionary: Any = None
     notes: List[str] = field(default_factory=list)
-    #: wall-clock channel, populated only by ``run_instrumented(wall=True)``.
-    #: Deliberately a *separate* registry and deliberately absent from
+    #: wall time, populated only by ``run_instrumented(wall=True)``: the
+    #: per-op latency histograms, the layer tracer that timed the replay
+    #: and the replay's own duration.  Deliberately absent from
     #: :meth:`to_dict`: the committed report stays byte-identical whether
     #: or not the run was timed.
     wall_registry: Optional[MetricsRegistry] = None
+    layers: Optional[LayerTracer] = None
+    replay_ns: int = 0
     timeline: Optional[DiskTimeline] = None
 
     @property
@@ -152,28 +155,54 @@ class ObsReport:
             )
         return "\n".join(lines)
 
+    def layer_rows(self) -> List[Tuple[str, float, float]]:
+        """``(layer, self us/op, self share)`` per layer of the timed
+        replay, then ``("unattributed", us/op, share)``: replay time that
+        no traced call covers (the replay driver, the tracer's own
+        wrappers).  Shares are of the replay's wall time and sum to 1."""
+        self_ns, _ = layer_totals(self.layers)
+        ops = max(self.summary.operations, 1)
+        total = max(self.replay_ns, 1)
+        rest = total - sum(self_ns.values())
+        rows = [
+            (layer, ns / ops / 1e3, ns / total)
+            for layer, ns in self_ns.items()
+        ]
+        rows.append(("unattributed", rest / ops / 1e3, rest / total))
+        return rows
+
     def render_wall_text(self) -> str:
-        """The wall-clock addendum (``--wall`` / ``--percentiles``):
-        latency percentile tables per op class / layer / lane, and the
-        per-disk utilization summary when the run was traced.  All values
-        here are real time — machine-dependent by design."""
-        if self.wall_registry is None:
-            return "(wall-clock channel not enabled; rerun with --wall)"
+        """The wall-clock addendum (``--wall``): latency percentiles per op
+        class, the layer table of the timed replay, and the per-disk
+        utilization summary.  Times here are real time — machine-dependent
+        by design; the utilization table counts logical rounds."""
+        if self.layers is None:
+            return "(wall time not measured; rerun with --wall)"
         lines: List[str] = []
-        lines.append("-- wall latency (us, measured; varies run to run) --")
-        for family, label in (
-            ("latency.op_us", "op"),
-            ("latency.layer_us", "layer"),
-            ("latency.lane_us", "lane"),
-            ("latency.kernel_us", "stage"),
-        ):
-            rows = percentile_rows(self.wall_registry, family)
-            if not rows:
-                continue
+        lines.append("-- wall latency per op (us, measured; varies run to run) --")
+        lines.append(
+            render_table(
+                ["op", "count", "p50", "p95", "p99", "max"],
+                percentile_rows(self.wall_registry, "latency.op_us"),
+            )
+        )
+        lines.append("")
+        lines.append("-- wall time per layer (client-thread self time) --")
+        lines.append(
+            render_table(
+                ["layer", "self us/op", "self share"],
+                [
+                    [layer, f"{us:.2f}", f"{share:.1%}"]
+                    for layer, us, share in self.layer_rows()
+                ],
+            )
+        )
+        if self.params.get("executor") == "file":
+            _, busy_ns = layer_totals(self.layers)
             lines.append(
-                render_table(
-                    [label, "count", "p50", "p95", "p99", "max"], rows
-                )
+                "fs lane busy share: "
+                f"{busy_ns['fs'] / max(self.replay_ns, 1):.1%}"
+                " (disk-lane threads, overlapping the client's time)"
             )
         if self.timeline is not None:
             lines.append("")
@@ -255,22 +284,20 @@ def run_instrumented(
     note the theorem-bound monitors assume the uncached cost model, so a
     cached strict run may legitimately *under*-shoot the budgets.
 
-    With ``wall=True`` the span recorder (and tracer, if tracing) also
-    run with the wall-clock channel attached: the report gains a separate
-    ``wall_registry`` of latency histograms and, when traced, a
+    With ``wall=True`` the replay runs under a
+    :class:`~repro.obs.layers.LayerTracer` and with I/O tracing on: the
+    report gains a separate ``wall_registry`` of per-op latency
+    histograms, the tracer itself (``layers``, for the layer table) and a
     ``timeline`` of per-disk utilization.  The deterministic outputs —
-    ``to_dict()``, every metric in ``registry``, every monitor verdict —
-    are byte-identical with ``wall`` on or off.
+    ``to_dict()``, every metric in ``registry``, every monitor verdict,
+    every span tree — are byte-identical with ``wall`` on or off.
 
     ``executor`` selects the physical backend (:mod:`repro.pdm.executors`):
     ``"simulated"`` (default, in-memory), or ``"file"`` over real per-disk
     logs in ``executor_dir`` (a temporary directory when ``None``, removed
     when the run's machine is closed by the caller).  The
     executor-equivalence invariant means every deterministic output is
-    byte-identical across backends; with ``wall=True`` the file backend
-    additionally receives the injected wall clock and the lane factory, so
-    its worker threads stamp ``disk-lane:<disk>`` spans and the report
-    gains ``executor.*`` transfer metrics in ``wall_registry``.
+    byte-identical across backends.
     """
     temp_dir: Optional[str] = None
     if executor == "simulated":
@@ -279,13 +306,7 @@ def run_instrumented(
         if executor_dir is None:
             temp_dir = tempfile.mkdtemp(prefix="repro-executor-")
             executor_dir = temp_dir
-        options: Dict[str, Any] = {}
-        if wall:
-            options["clock"] = wallclock.DEFAULT_CLOCK
-            options["lane_factory"] = wallclock.lane
-        engine = create_executor(
-            executor, directory=executor_dir, **options
-        )
+        engine = create_executor(executor, directory=executor_dir)
     machine = ParallelDiskMachine(
         num_disks, block_items, cache_blocks=cache_blocks, executor=engine
     )
@@ -312,13 +333,18 @@ def run_instrumented(
         seed=seed,
     )
     recorder = attach_spans(machine)
-    tracer = attach(machine) if trace else None
-    if wall:
-        enable_wall_clock(recorder)
-        if tracer is not None:
-            enable_wall_clock(tracer)
+    tracer = attach(machine) if trace or wall else None
 
-    summary = replay(dictionary, workload, batch=batch)
+    layers: Optional[LayerTracer] = None
+    replay_ns = 0
+    if wall:
+        layers = LayerTracer()
+        with layers:
+            start = time.perf_counter_ns()  # detlint: ignore[DET004] -- --wall only; feeds the wall tables, never the report
+            summary = replay(dictionary, workload, batch=batch)
+            replay_ns = time.perf_counter_ns() - start  # detlint: ignore[DET004] -- as above
+    else:
+        summary = replay(dictionary, workload, batch=batch)
 
     registry = MetricsRegistry()
     collect_machine(registry, machine)
@@ -347,21 +373,16 @@ def run_instrumented(
 
     wall_registry: Optional[MetricsRegistry] = None
     timeline = None
-    if wall:
+    if layers is not None:
+        # Root calls are the replayed operations; their op class is the
+        # last component of the span name ("core.basic_dict.lookup").
+        latency = LatencyTracker()
+        for _, name, start, end, parent, _, _, _ in layers.spans:
+            if parent is None:
+                latency.observe_ns(name.rsplit(".", 1)[-1], end - start)
         wall_registry = MetricsRegistry()
-        collect_latency(wall_registry, recorder)
-        if tracer is not None:
-            timeline = DiskTimeline.from_tracer(tracer, machine.num_disks)
-        obs = machine.executor.observations
-        if obs.read_batches or obs.write_batches:
-            for key, value in obs.to_dict().items():
-                if key == "per_disk_wall_ns":
-                    for disk_id, ns in enumerate(value):
-                        wall_registry.gauge(
-                            "executor.disk_wall_ns", disk=disk_id
-                        ).set(ns)
-                else:
-                    wall_registry.gauge(f"executor.{key}").set(value)
+        latency.record_into(wall_registry)
+        timeline = DiskTimeline.from_tracer(tracer, machine.num_disks)
 
     params = {
         "num_disks": num_disks,
@@ -391,6 +412,8 @@ def run_instrumented(
         machine=machine,
         dictionary=dictionary,
         wall_registry=wall_registry,
+        layers=layers,
+        replay_ns=replay_ns,
         timeline=timeline,
     )
 

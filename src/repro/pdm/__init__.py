@@ -72,7 +72,6 @@ from repro.pdm.errors import (
 )
 from repro.pdm.executors import (
     EXECUTOR_NAMES,
-    ExecutorObservations,
     RoundExecutor,
     SimulatedExecutor,
     create_executor,
@@ -135,7 +134,6 @@ __all__ = [
     "ParallelDiskMachine",
     "ParallelDiskHeadMachine",
     "EXECUTOR_NAMES",
-    "ExecutorObservations",
     "RoundExecutor",
     "SimulatedExecutor",
     "create_executor",

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.pdm.executors.base import (
-    ExecutorObservations,
     ReadResult,
     RoundExecutor,
     SimulatedExecutor,
@@ -35,8 +34,8 @@ def create_executor(
 
     ``"file"`` needs a ``directory`` and passes the keyword ``options``
     through to :class:`~repro.pdm.executors.filebacked.FileExecutor`
-    (``workers``, ``fsync``, ``transfer_delay_ns``, ``clock``,
-    ``lane_factory``).  ``"simulated"`` takes neither.  Any other name
+    (``workers``, ``fsync``, ``transfer_delay_ns``).  ``"simulated"``
+    takes neither.  Any other name
     raises :class:`ValueError`.
     """
     if name == "simulated":
@@ -58,7 +57,6 @@ def create_executor(
 
 __all__ = [
     "EXECUTOR_NAMES",
-    "ExecutorObservations",
     "ReadResult",
     "RoundExecutor",
     "SimulatedExecutor",

@@ -22,15 +22,15 @@ uncharged mutation sites — the fault layer's in-place corruption and
 seal-on-attach scrub, the recovery manager's rebuilt-spare swap — keep a
 real-file image in step with the logical store without charging I/O.
 
-Determinism: executors never read a wall clock (DET004); timing is only
-taken through an *injected* ``clock`` callable, and only into the
-observation side-channel (:class:`ExecutorObservations`), never into any
-control path.
+Determinism: executors never read a wall clock (DET004).  Wall time is
+measured from outside, by :mod:`repro.obs.layers`, which wraps
+``run_read``/``run_write`` and the per-disk block-log calls while a
+tracer is installed.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 from repro.pdm.block import Block
 from repro.pdm.errors import IOFault
@@ -45,57 +45,6 @@ Addr = Tuple[int, int]
 #: medium raised (torn frame, lost file) — routed into the machine's
 #: per-address failure channel exactly like an injected fault.
 ReadResult = Union[Block, None, IOFault]
-
-
-class ExecutorObservations:
-    """Wall-clock side channel of one executor: batch counts and measured
-    transfer time, total and per disk lane.
-
-    Only populated when the executor was given an injected ``clock``;
-    with no clock every duration stays zero and the record is just batch
-    and block counters.  Nothing deterministic may read this back — it
-    feeds ``repro.obs`` collectors and ``BENCH_executors.json`` only.
-    """
-
-    __slots__ = (
-        "read_batches", "write_batches", "blocks_read", "blocks_written",
-        "read_wall_ns", "write_wall_ns", "per_disk_wall_ns",
-    )
-
-    def __init__(self, num_disks: int = 0):
-        self.read_batches = 0
-        self.write_batches = 0
-        self.blocks_read = 0
-        self.blocks_written = 0
-        self.read_wall_ns = 0
-        self.write_wall_ns = 0
-        # Pre-sized per disk: each entry is updated only from that disk's
-        # worker lane (index assignment on a fixed-size list, no resizing).
-        self.per_disk_wall_ns: List[int] = [0] * num_disks  # detlint: guarded(disk-lane) -- slot i is written only by disk i's worker lane
-
-    def note_read(self, blocks: int, wall_ns: int) -> None:
-        self.read_batches += 1
-        self.blocks_read += blocks
-        self.read_wall_ns += wall_ns
-
-    def note_write(self, blocks: int, wall_ns: int) -> None:
-        self.write_batches += 1
-        self.blocks_written += blocks
-        self.write_wall_ns += wall_ns
-
-    def note_disk(self, disk_id: int, wall_ns: int) -> None:
-        self.per_disk_wall_ns[disk_id] += wall_ns
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "read_batches": self.read_batches,
-            "write_batches": self.write_batches,
-            "blocks_read": self.blocks_read,
-            "blocks_written": self.blocks_written,
-            "read_wall_ns": self.read_wall_ns,
-            "write_wall_ns": self.write_wall_ns,
-            "per_disk_wall_ns": list(self.per_disk_wall_ns),
-        }
 
 
 class RoundExecutor:
@@ -114,7 +63,6 @@ class RoundExecutor:
 
     def __init__(self) -> None:
         self.machine: Optional["AbstractDiskMachine"] = None
-        self.observations = ExecutorObservations()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -128,7 +76,6 @@ class RoundExecutor:
                 f"executors are one-per-machine (create a fresh one)"
             )
         self.machine = machine
-        self.observations = ExecutorObservations(machine.num_disks)
 
     def flush(self) -> None:
         """Durability barrier: persist everything acknowledged so far."""

@@ -10,15 +10,12 @@ charged number.  Charged costs are untouched: the machine computes every
 gates that the parallel dispatch beats this executor's own sequential
 (``workers=1``) mode while the charged rounds stay identical.
 
-Threading/lane model (the PR 6 ``guarded()`` inventory, implemented):
+Threading/lane model (the ``guarded()`` inventory, implemented):
 
-* each :class:`BlockLogFile` and each ``per_disk_wall_ns`` slot is owned
-  by its disk's lane — a batch dispatches at most one task per disk, so
-  no two tasks ever share a file or a slot;
+* each :class:`BlockLogFile` and each ``_handed`` slot is owned by its
+  disk's lane — a batch dispatches at most one task per disk, so no two
+  tasks ever share a file or a slot;
 * the dispatch pool is a plain ``ThreadPoolExecutor`` sized ``D``;
-  worker tasks carry their own disk tag, so lane attribution
-  (``disk-lane:<tag>``) is correct regardless of which pool thread runs
-  the task;
 * result merging happens in the calling thread after every future
   resolves — the machine above never sees partial state.
 
@@ -32,9 +29,8 @@ Block's ``version`` in place of the fresh one ``Block.store`` drew.  So the batc
 itself is always new, with an empty verify memo, so a checksummed read
 still fingerprints its payload once.
 
-Determinism: no wall clock is read here (DET004) — ``clock`` is an
-injected callable (``repro.obs`` passes ``time.perf_counter_ns`` when
-timing a run) and feeds only the observation side-channel.  The optional
+Determinism: no wall clock is read here (DET004); a timed run measures
+this executor from outside (:mod:`repro.obs.layers`).  The optional
 ``transfer_delay_ns`` knob models per-block device service time with a
 GIL-releasing sleep so speedup measurements do not depend on the page
 cache; it changes wall time only, never results or charges.
@@ -45,8 +41,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fs.blockfile import BlockLogFile, Record
 from repro.pdm.block import Block, BlockOverflowError
@@ -74,13 +69,6 @@ class FileExecutor(RoundExecutor):
     transfer_delay_ns:
         Modeled per-block device service time (sleep inside the disk's
         lane, GIL released).  Zero by default.
-    clock:
-        Injected nanosecond clock for the observation side-channel;
-        ``None`` disables timing entirely.
-    lane_factory:
-        Injected lane context factory with the signature of
-        :func:`repro.obs.wallclock.lane` — the executor never imports the
-        observability layer (``repro.pdm`` sits below it).
     """
 
     name = "file"
@@ -93,8 +81,6 @@ class FileExecutor(RoundExecutor):
         workers: Optional[int] = None,
         fsync: bool = False,
         transfer_delay_ns: int = 0,
-        clock: Optional[Callable[[], int]] = None,
-        lane_factory: Optional[Callable[..., object]] = None,
     ):
         super().__init__()
         if workers is not None and workers < 1:
@@ -103,8 +89,6 @@ class FileExecutor(RoundExecutor):
         self.workers = workers
         self.fsync = fsync
         self.transfer_delay_ns = transfer_delay_ns
-        self.clock = clock
-        self.lane_factory = lane_factory
         self._logs: List[BlockLogFile] = []
         # Per disk: block index -> (the record last read for it, the
         # version its Block got).  Lane-owned like the disk's log.
@@ -150,79 +134,62 @@ class FileExecutor(RoundExecutor):
 
     # -- physical transfer -------------------------------------------------
 
-    def _lane(self, disk_id: int):
-        if self.lane_factory is None:
-            return nullcontext()
-        return self.lane_factory("disk-lane", tag=disk_id)
-
     def _serve_disk(
         self, disk_id: int, addrs: Sequence[Addr]
     ) -> Dict[Addr, ReadResult]:
-        clock = self.clock
         out: Dict[Addr, ReadResult] = {}
-        with self._lane(disk_id):
-            t0 = clock() if clock is not None else 0
-            if self.transfer_delay_ns:
-                time.sleep(self.transfer_delay_ns * len(addrs) / 1e9)
-            log = self._logs[disk_id]
-            handed = self._handed[disk_id]
-            block_bits = self.machine.block_bits
-            for addr in addrs:
-                try:
-                    record = log.read_block(addr[1])
-                except IOFault as fault:
-                    out[addr] = fault
-                    continue
-                if record is None:
-                    out[addr] = None
-                    continue
-                payload, used_bits, checksum = record
-                blk = Block(block_bits)
-                try:
-                    blk.store(payload, used_bits)
-                except (BlockOverflowError, ValueError) as exc:
-                    out[addr] = BlockCorruption(
-                        f"frame for block {addr} does not fit this "
-                        f"machine's geometry: {exc}",
-                        addrs=[addr], disk=addr[0],
-                    )
-                    continue
-                last = handed.get(addr[1])
-                if last is not None and last[0] is record:
-                    # The log decoded nothing new: same bytes, so the
-                    # same content keeps its version.
-                    blk.version = last[1]
-                else:
-                    handed[addr[1]] = (record, blk.version)
-                # Carry the on-medium seal; the machine verifies above the
-                # seam, so a stale seal fails there exactly as in-memory.
-                blk.checksum = checksum
-                out[addr] = blk
-            if clock is not None:
-                self.observations.note_disk(disk_id, clock() - t0)
+        if self.transfer_delay_ns:
+            time.sleep(self.transfer_delay_ns * len(addrs) / 1e9)
+        log = self._logs[disk_id]
+        handed = self._handed[disk_id]
+        block_bits = self.machine.block_bits
+        for addr in addrs:
+            try:
+                record = log.read_block(addr[1])
+            except IOFault as fault:
+                out[addr] = fault
+                continue
+            if record is None:
+                out[addr] = None
+                continue
+            payload, used_bits, checksum = record
+            blk = Block(block_bits)
+            try:
+                blk.store(payload, used_bits)
+            except (BlockOverflowError, ValueError) as exc:
+                out[addr] = BlockCorruption(
+                    f"frame for block {addr} does not fit this "
+                    f"machine's geometry: {exc}",
+                    addrs=[addr], disk=addr[0],
+                )
+                continue
+            last = handed.get(addr[1])
+            if last is not None and last[0] is record:
+                # The log decoded nothing new: same bytes, so the
+                # same content keeps its version.
+                blk.version = last[1]
+            else:
+                handed[addr[1]] = (record, blk.version)
+            # Carry the on-medium seal; the machine verifies above the
+            # seam, so a stale seal fails there exactly as in-memory.
+            blk.checksum = checksum
+            out[addr] = blk
         return out
 
     def _store_disk(
         self, disk_id: int, entries: Sequence[Tuple[int, Block]]
     ) -> None:
-        clock = self.clock
-        with self._lane(disk_id):
-            t0 = clock() if clock is not None else 0
-            if self.transfer_delay_ns:
-                time.sleep(self.transfer_delay_ns * len(entries) / 1e9)
-            self._logs[disk_id].append_many(
-                (index, blk.payload, blk.used_bits, blk.checksum)
-                for index, blk in entries
-            )
-            if clock is not None:
-                self.observations.note_disk(disk_id, clock() - t0)
+        if self.transfer_delay_ns:
+            time.sleep(self.transfer_delay_ns * len(entries) / 1e9)
+        self._logs[disk_id].append_many(
+            (index, blk.payload, blk.used_bits, blk.checksum)
+            for index, blk in entries
+        )
 
     def run_read(self, addrs: Sequence[Addr]) -> Dict[Addr, ReadResult]:
         by_disk: Dict[int, List[Addr]] = {}
         for addr in addrs:
             by_disk.setdefault(addr[0], []).append(addr)
-        clock = self.clock
-        t0 = clock() if clock is not None else 0
         out: Dict[Addr, ReadResult] = {}
         if self._pool is None or len(by_disk) <= 1:
             for disk_id, items in by_disk.items():
@@ -234,17 +201,12 @@ class FileExecutor(RoundExecutor):
             ]
             for future in futures:
                 out.update(future.result())
-        self.observations.note_read(
-            len(addrs), (clock() - t0) if clock is not None else 0
-        )
         return out
 
     def run_write(self, stored: Sequence[Tuple[Addr, Block]]) -> None:
         by_disk: Dict[int, List[Tuple[int, Block]]] = {}
         for addr, blk in stored:
             by_disk.setdefault(addr[0], []).append((addr[1], blk))
-        clock = self.clock
-        t0 = clock() if clock is not None else 0
         if self._pool is None or len(by_disk) <= 1:
             for disk_id, entries in by_disk.items():
                 self._store_disk(disk_id, entries)
@@ -255,9 +217,6 @@ class FileExecutor(RoundExecutor):
             ]
             for future in futures:
                 future.result()
-        self.observations.note_write(
-            len(stored), (clock() - t0) if clock is not None else 0
-        )
 
     # -- physical consistency hooks ----------------------------------------
 

@@ -20,19 +20,9 @@ Like :class:`repro.pdm.trace.TraceRecorder`, recording is off unless a
 ``None`` check (structures open spans unconditionally, but an unrecorded
 span is just a snapshot/delta pair, the same work ``measure`` does).
 
-Wall-clock channel
-------------------
-
-A recorder may additionally carry a monotonic nanosecond ``clock`` (and a
-``lane_of`` identity provider) — attach both with
-:func:`repro.obs.wallclock.enable_wall_clock`, never by hand.  When a
-clock is present, every recorded span is also stamped with its real
-start/duration (:attr:`Span.wall_start_ns` / :attr:`Span.wall_ns`) and
-the executor lane that opened it (:attr:`Span.lane`, drawn from the
-``guarded()`` synchronization inventory).  This channel is *parallel* to
-— and strictly segregated from — the deterministic one: :attr:`Span.cost`
-and :meth:`Span.to_dict` never contain wall time, so charged-cost
-artifacts stay bit-identical whether or not the clock is attached.
+Spans carry no wall time: :mod:`repro.obs.layers` measures real time
+from outside, so :attr:`Span.cost` and :meth:`Span.to_dict` are the same
+whether or not a run is timed.
 """
 
 from __future__ import annotations
@@ -53,12 +43,6 @@ class Span:
     attrs: Dict[str, Any] = field(default_factory=dict)
     cost: OpCost = field(default_factory=OpCost)
     children: List["Span"] = field(default_factory=list)
-    #: nondeterministic wall channel — stamped only when the recorder has a
-    #: clock attached; never part of :meth:`to_dict` (the deterministic
-    #: artifact shape).
-    wall_start_ns: Optional[int] = None
-    wall_ns: Optional[int] = None
-    lane: Optional[str] = None
 
     @property
     def total_ios(self) -> int:
@@ -160,16 +144,6 @@ class SpanRecorder:
         self.roots: List[Span] = []
         self._stack: List[Span] = []  # detlint: guarded(machine-op) -- spans strictly nest within one machine operation
         self._next_index = 0
-        #: optional monotonic ns clock — the nondeterministic wall channel.
-        #: Attach via :func:`repro.obs.wallclock.enable_wall_clock`; when
-        #: ``None`` (the default) recording is fully deterministic.
-        self.clock = None
-        #: optional zero-arg provider of the current executor lane name
-        #: (``repro.obs.wallclock.current_lane``); consulted at span entry.
-        self.lane_of = None
-        #: wall timestamp at clock attachment — exporters render spans
-        #: relative to this origin.
-        self.wall_origin_ns: Optional[int] = None
 
     def enter(self, name: str, mode: str, attrs: Dict[str, Any]) -> Span:
         node = Span(index=self._next_index, name=name, mode=mode, attrs=attrs)
@@ -291,12 +265,6 @@ class span:
                 self._cache_snap = (cs.hits, cs.misses, cs.evictions)
             else:
                 self._cache_snap = None
-            clock = recorder.clock
-            if clock is not None:
-                lane_of = recorder.lane_of
-                if lane_of is not None:
-                    node.lane = lane_of()
-                node.wall_start_ns = clock()
         else:
             self._node = None
             self._cache_snap = None
@@ -316,10 +284,6 @@ class span:
         )
         node = self._node
         if node is not None:
-            if node.wall_start_ns is not None:
-                clock = self._recorder.clock
-                if clock is not None:
-                    node.wall_ns = clock() - node.wall_start_ns
             csnap = self._cache_snap
             cache = self._machine.cache
             if csnap is not None and cache is not None:

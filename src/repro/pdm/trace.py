@@ -13,7 +13,7 @@ check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, KeysView, List, Optional, Tuple
+from typing import Dict, KeysView, List, Tuple
 
 Addr = Tuple[int, int]
 
@@ -31,29 +31,17 @@ class TraceEvent:
 class TraceRecorder:
     """Collects :class:`TraceEvent` objects from an attached machine.
 
-    With a monotonic ns ``clock`` attached (via
-    :func:`repro.obs.wallclock.enable_wall_clock`, never by hand) each
-    recorded event is also stamped with the real time it completed, into
-    the *parallel* :attr:`walls` list — ``walls[i]`` belongs to
-    ``events[i]``.  The deterministic :attr:`events` channel is unchanged
-    by the clock; :attr:`walls` stays empty without one.
+    Events carry logical rounds only; wall time is measured from outside
+    by :mod:`repro.obs.layers`.
     """
 
     events: List[TraceEvent] = field(default_factory=list)
-    #: optional monotonic ns clock — the nondeterministic wall channel
-    clock: Optional[Callable[[], int]] = None
-    #: wall stamp (ns) per event, parallel to :attr:`events`; populated
-    #: only while a clock is attached
-    walls: List[int] = field(default_factory=list)
 
     def record(self, kind: str, addrs, rounds: int) -> None:
         self.events.append(TraceEvent(kind, tuple(addrs), rounds))
-        if self.clock is not None:
-            self.walls.append(self.clock())
 
     def clear(self) -> None:
         self.events.clear()
-        self.walls.clear()
 
     # -- analyses -------------------------------------------------------------
 

@@ -5,10 +5,15 @@ With no recorder attached, nothing may call into :mod:`repro.obs`,
 structures open a :class:`~repro.pdm.spans.span` on every operation, so
 its ``__init__``/``__enter__``/``__exit__`` are the only calls allowed.
 ``sys.setprofile`` counts repeat exactly on any host, where a wall-clock
-overhead fraction on a shared runner does not.
+overhead fraction on a shared runner does not.  The layer tracer
+(:mod:`repro.obs.layers`) patches nothing until it is installed, so
+importing :mod:`repro.obs` leaves every function it can wrap untouched.
 """
 
+import os
+import subprocess
 import sys
+import textwrap
 from collections import Counter
 
 from repro.core.basic_dict import BasicDictionary
@@ -17,6 +22,9 @@ from repro.pdm import trace
 from repro.pdm.machine import ParallelDiskMachine
 from repro.pdm.spans import attach_spans, span
 
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..",
+                                   "src"))
+LAYERS_PY = os.path.join(SRC, "repro", "obs", "layers.py")
 U = 1 << 16
 SPAN_CALLS = ("__init__", "__enter__", "__exit__")
 WATCHED = {"obs": "/repro/obs/", "trace": "/repro/pdm/trace.py",
@@ -92,3 +100,48 @@ def test_tracker_steady_state_is_three_calls():
     assert sorted((name, n) for (_, name, _), n in calls.items()) == [
         ("observe_ns", 1), ("start", 1), ("stop_ns", 1),
     ]
+
+
+def test_importing_obs_patches_no_tracer_target():
+    # A fresh interpreter, so the imports below really run.
+    script = textwrap.dedent("""
+        import importlib.util
+        import sys
+        from importlib import import_module
+
+        # Read the table without importing the repro.obs package.
+        spec = importlib.util.spec_from_file_location("table", LAYERS_PY)
+        table = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(table)
+
+        def functions():
+            out = {}
+            for _layer, module, cls_name, _label, names in table.TARGETS:
+                cls = getattr(import_module(module), cls_name)
+                for name in names:
+                    owner = next(k for k in cls.__mro__ if name in k.__dict__)
+                    out[owner, name] = owner.__dict__[name]
+            return out
+
+        before = functions()
+        assert "repro.obs" not in sys.modules
+        import repro.obs
+        import repro.obs.layers
+        after = functions()
+        assert before and list(after) == list(before)
+        changed = [name for key, name in before if after[key, name]
+                   is not before[key, name]]
+        assert changed == [], changed
+        assert not any(hasattr(fn, "__wrapped__") for fn in after.values())
+        print(len(before))
+    """).replace("LAYERS_PY", repr(LAYERS_PY))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) > 0

@@ -1,23 +1,14 @@
-"""Tests for latency attribution (repro.obs.latency) and histogram
-quantiles (repro.obs.metrics)."""
+"""Tests for latency histograms and disk timelines (repro.obs.latency)
+and histogram quantiles (repro.obs.metrics)."""
 
 import pytest
 
-from repro.obs.latency import (
-    DiskTimeline,
-    LatencyTracker,
-    classify_layer,
-    collect_latency,
-    op_class,
-    percentile_rows,
-)
+from repro.obs.latency import DiskTimeline, LatencyTracker, percentile_rows
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_US,
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.wallclock import enable_wall_clock, lane
-from repro.pdm.spans import attach_spans, span
 from repro.pdm.trace import attach
 
 
@@ -77,84 +68,17 @@ class TestQuantiles:
         assert h.quantile(0.5) == pytest.approx(5.0, abs=0.51)
 
 
-def record_wall_spans(machine, clock=None):
-    recorder = attach_spans(machine)
-    enable_wall_clock(recorder, clock or FakeClock())
-    with span(machine, "basic_dict.lookup"):
-        machine.read_blocks([(0, 0)])
-    with span(machine, "basic_dict.lookup"):
-        machine.read_blocks([(1, 0)])
-    with lane("pool-lock"):
-        with span(machine, "basic_dict.upsert"):
-            machine.write_blocks([((2, 0), [1], 64)])
-    return recorder
-
-
-class TestClassification:
-    def test_op_class_takes_last_component(self, machine):
-        recorder = attach_spans(machine)
-        with span(machine, "basic_dict.batch_lookup"):
-            pass
-        assert op_class(recorder.roots[0]) == "batch_lookup"
-
-    def test_uncached_by_default(self, machine):
-        recorder = attach_spans(machine)
-        with span(machine, "op"):
-            machine.read_blocks([(0, 0)])
-        assert classify_layer(recorder.roots[0]) == "uncached"
-
-    def test_cache_layers(self, machine):
-        recorder = attach_spans(machine)
-        with span(machine, "hit") as h:
-            h.annotate(**{"cache.hits": 2})
-        with span(machine, "miss") as m:
-            m.annotate(**{"cache.hits": 1, "cache.misses": 1})
-            machine.read_blocks([(0, 0)])
-        hit, miss = recorder.roots
-        assert classify_layer(hit) == "cache-hit"
-        assert classify_layer(miss) == "cache-miss"
-
-    def test_degraded_span_is_fault_retry(self, machine):
-        recorder = attach_spans(machine)
-        with span(machine, "op") as h:
-            h.annotate(**{"degraded": True, "cache.hits": 5})
-        assert classify_layer(recorder.roots[0]) == "fault-retry"
-
-
 class TestCollectLatency:
-    def test_histograms_per_op_layer_lane(self, machine):
-        recorder = record_wall_spans(machine)
+    def test_percentile_rows_shape(self):
+        tracker = LatencyTracker(clock=FakeClock())
+        for op, ns in (("lookup", 5_000), ("upsert", 9_000),
+                       ("lookup", 7_000)):
+            tracker.observe_ns(op, ns)
         registry = MetricsRegistry()
-        assert collect_latency(registry, recorder) == 3
-        lookup = registry.histogram(
-            "latency.op_us", DEFAULT_LATENCY_BUCKETS_US, op="lookup"
-        )
-        assert lookup.total == 2
-        upsert_lane = registry.histogram(
-            "latency.lane_us", DEFAULT_LATENCY_BUCKETS_US, lane="pool-lock"
-        )
-        assert upsert_lane.total == 1
-        uncached = registry.histogram(
-            "latency.layer_us", DEFAULT_LATENCY_BUCKETS_US, layer="uncached"
-        )
-        assert uncached.total == 3
-
-    def test_unstamped_spans_skipped(self, machine):
-        recorder = attach_spans(machine)
-        with span(machine, "before"):
-            pass
-        enable_wall_clock(recorder, FakeClock())
-        with span(machine, "after"):
-            pass
-        registry = MetricsRegistry()
-        assert collect_latency(registry, recorder) == 1
-
-    def test_percentile_rows_shape(self, machine):
-        recorder = record_wall_spans(machine)
-        registry = MetricsRegistry()
-        collect_latency(registry, recorder)
+        tracker.record_into(registry)
         rows = percentile_rows(registry)
         assert [r[0] for r in rows] == ["lookup", "upsert"]
+        assert [r[1] for r in rows] == [2, 1]
         assert all(len(r) == 6 for r in rows)  # label,count,p50,p95,p99,max
 
 
@@ -204,10 +128,8 @@ class TestLatencyTracker:
 
 
 class TestDiskTimeline:
-    def make_tracer(self, machine, wall=False):
+    def make_tracer(self, machine):
         tracer = attach(machine)
-        if wall:
-            enable_wall_clock(tracer, FakeClock(step=1_000_000))
         machine.read_blocks([(0, 0), (1, 0)])  # 1 round, disks 0+1
         machine.read_blocks([(0, 1), (0, 2)])  # 2 rounds, disk 0 twice
         return tracer
@@ -237,32 +159,9 @@ class TestDiskTimeline:
         assert bin0["start_round"] == 0
         assert bin0["busy"][0] == 3
 
-    def test_wall_timeline_only_with_stamps(self, machine):
-        unstamped = DiskTimeline.from_tracer(
-            self.make_tracer(machine), machine.D
-        )
-        assert unstamped.wall_timeline() == []
-
-    def test_wall_timeline_bins_by_stamp(self, wide_machine):
-        tracer = self.make_tracer(wide_machine, wall=True)
-        timeline = DiskTimeline.from_tracer(tracer, wide_machine.D)
-        bins = timeline.wall_timeline(width_ns=1_000_000)
-        assert len(bins) == 2  # stamps 1ms apart, 1ms bins
-        assert bins[0]["start_ns"] == 0
-
-    def test_partial_wall_stamps_align_to_tail(self, machine):
-        tracer = attach(machine)
-        machine.read_blocks([(0, 0)])  # unstamped
-        enable_wall_clock(tracer, FakeClock())
-        machine.read_blocks([(1, 0)])  # stamped
-        timeline = DiskTimeline.from_tracer(tracer, machine.D)
-        first, second = timeline.events
-        assert first.wall_ns is None
-        assert second.wall_ns is not None
-
     def test_to_dict_deterministic_shape(self, machine):
         timeline = DiskTimeline.from_tracer(
-            self.make_tracer(machine, wall=True), machine.D
+            self.make_tracer(machine), machine.D
         )
         payload = timeline.to_dict()
         assert payload["num_disks"] == machine.D
@@ -277,5 +176,3 @@ class TestDiskTimeline:
         )
         with pytest.raises(ValueError):
             timeline.logical_timeline(width=0)
-        with pytest.raises(ValueError):
-            timeline.wall_timeline(width_ns=0)

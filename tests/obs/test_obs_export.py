@@ -10,24 +10,19 @@ from repro.obs.export import (
     write_jsonl,
     write_table_artifact,
 )
-from repro.obs.wallclock import enable_wall_clock, lane
+from repro.obs.layers import LayerTracer
+from repro.pdm.machine import ParallelDiskMachine
 from repro.pdm.spans import attach_spans, span
 from repro.pdm.trace import attach
 
 
-class SteppingClock:
-    """Deterministic ns clock: +1000 per read."""
-
-    def __init__(self):
-        self.now = 0
-
-    def __call__(self):
-        self.now += 1000
-        return self.now
-
-
 def record_tree(machine):
     recorder = attach_spans(machine)
+    record_tree_into(machine)
+    return recorder
+
+
+def record_tree_into(machine):
     with span(machine, "root", parallel=True):
         with span(machine, "a"):
             machine.read_blocks([(0, 0)])
@@ -35,7 +30,6 @@ def record_tree(machine):
             machine.read_blocks([(1, 0)])
     with span(machine, "tail"):
         machine.write_blocks([((2, 0), [1], 64)])
-    return recorder
 
 
 class TestSpanEvents:
@@ -124,83 +118,46 @@ class TestJsonlSchema:
 
     def test_wall_run_default_export_keeps_snapshot(self, machine):
         recorder = attach_spans(machine)
-        enable_wall_clock(recorder, SteppingClock())
-        with span(machine, "op"):
-            machine.read_blocks([(0, 0)])
+        with LayerTracer() as tracer:
+            with span(machine, "op"):
+                machine.read_blocks([(0, 0)])
+        assert tracer.spans  # the machine call was timed
         for event in span_events(recorder):
             assert set(event) == SPAN_EVENT_KEYS
 
-    def test_wall_opt_in_adds_exactly_two_fields(self, machine):
-        recorder = attach_spans(machine)
-        enable_wall_clock(recorder, SteppingClock())
-        with lane("machine-op"):
-            with span(machine, "op"):
-                machine.read_blocks([(0, 0)])
-        (event,) = span_events(recorder, wall=True)
-        assert set(event) == SPAN_EVENT_KEYS | {"wall_ns", "lane"}
-        assert event["lane"] == "machine-op"
-        assert event["wall_ns"] > 0
-
 
 class TestWallTrackGroup:
-    def record_wall_tree(self, machine):
+    """The real-time track group (process 3) is gone: a trace written
+    from a run timed by the layer tracer is the untimed trace."""
+
+    def record(self, machine, timed):
         recorder = attach_spans(machine)
-        enable_wall_clock(recorder, SteppingClock())
-        with span(machine, "first"):
-            machine.read_blocks([(0, 0)])
-        with lane("disk-lane", tag=2):
-            with span(machine, "second"):
-                machine.read_blocks([(1, 0)])
-        return recorder
+        tracer = attach(machine)
+        if timed:
+            with LayerTracer():
+                record_tree_into(machine)
+        else:
+            record_tree_into(machine)
+        return recorder, tracer
 
-    def test_off_by_default_and_byte_identical(self, machine):
-        recorder = self.record_wall_tree(machine)
-        events = chrome_trace(recorder)["traceEvents"]
-        assert all(e["pid"] != 3 for e in events)
-        # explicit wall=False matches the default byte for byte
-        assert json.dumps(
-            chrome_trace(recorder, wall=False), sort_keys=True
-        ) == json.dumps(chrome_trace(recorder), sort_keys=True)
-
-    def test_wall_adds_process3_lane_tracks(self, machine):
-        recorder = self.record_wall_tree(machine)
-        events = chrome_trace(recorder, wall=True)["traceEvents"]
-        wall = [e for e in events if e.get("pid") == 3]
-        assert wall, "no wall track group emitted"
-        names = [
-            e["args"]["name"] for e in wall if e.get("name") == "thread_name"
-        ]
-        assert names == ["owner-lane", "disk-lane:2"]
-        slices = [e for e in wall if e.get("ph") == "X"]
-        assert [s["name"] for s in slices] == ["first", "second"]
-        # real time: ts relative to the recorder's wall origin, us units
-        assert all(s["ts"] >= 0 for s in slices)
-        assert all(s["dur"] > 0 for s in slices)
-        assert slices[0]["args"]["lane"] == "owner-lane"
-        assert slices[1]["args"]["lane"] == "disk-lane:2"
-        # charged cost rides along for cross-referencing the logical view
-        assert slices[0]["args"]["charged_ios"] == 1
-
-    def test_wall_without_stamps_adds_nothing(self, machine):
-        recorder = record_tree(machine)  # no clock enabled
-        events = chrome_trace(recorder, wall=True)["traceEvents"]
-        assert all(e.get("pid") != 3 for e in events)
+    def test_off_by_default_and_byte_identical(self):
+        timed = chrome_trace(*self.record(ParallelDiskMachine(8, 16), True))
+        untimed = chrome_trace(
+            *self.record(ParallelDiskMachine(8, 16), False)
+        )
+        assert all(e["pid"] in (1, 2) for e in timed["traceEvents"])
+        assert json.dumps(timed, sort_keys=True) == json.dumps(
+            untimed, sort_keys=True
+        )
 
     def test_round_trip_with_disks_and_wall(self, machine, tmp_path):
-        recorder = self.record_wall_tree(machine)
-        tracer = attach(machine)
-        enable_wall_clock(tracer, SteppingClock())
-        machine.read_blocks([(0, 1)])
+        recorder, tracer = self.record(machine, True)
         path = write_chrome_trace(
-            tmp_path / "trace.json",
-            recorder,
-            tracer,
-            num_disks=machine.D,
-            wall=True,
+            tmp_path / "trace.json", recorder, tracer, num_disks=machine.D
         )
         data = json.loads(path.read_text())
         pids = {e["pid"] for e in data["traceEvents"]}
-        assert pids == {1, 2, 3}
+        assert pids == {1, 2}
         # every slice still has the Chrome trace-event required keys
         for e in data["traceEvents"]:
             if e.get("ph") == "X":

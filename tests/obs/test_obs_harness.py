@@ -163,10 +163,10 @@ class TestCli:
                 "--disks", "8", "--block", "16",
                 "--universe", str(U),
                 "--capacity", "64", "--operations", "80",
-                "--percentiles",
+                "--wall",
             ]
         )
-        assert rc == 0  # exit codes unchanged by the wall flags
+        assert rc == 0  # exit codes unchanged by the wall flag
         out = capsys.readouterr().out
         assert "wall latency" in out
         assert "p50" in out and "p99" in out
@@ -192,22 +192,3 @@ class TestCli:
         # --wall changes stdout only; the machine-readable report (the
         # BENCH_smoke.json shape) stays byte-identical.
         assert run([]) == run(["--wall"])
-
-    def test_wall_chrome_trace_gains_process3(self, tmp_path):
-        trace = tmp_path / "t.json"
-        rc = main(
-            [
-                "--structure", "basic", "--quiet",
-                "--disks", "8", "--block", "16",
-                "--universe", str(U),
-                "--capacity", "64", "--operations", "80",
-                "--wall",
-                "--chrome-trace", str(trace),
-            ]
-        )
-        assert rc == 0
-        pids = {
-            e["pid"]
-            for e in json.loads(trace.read_text())["traceEvents"]
-        }
-        assert 3 in pids

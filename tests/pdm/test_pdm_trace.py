@@ -53,6 +53,15 @@ class TestTraceRecorder:
         machine.read_blocks([(0, 0)])
         assert recorder.events == []
 
+    def test_clear_empties_events_and_keeps_recording(self, machine):
+        recorder = attach(machine)
+        machine.read_blocks([(0, 0)])
+        machine.read_blocks([(1, 0)])
+        recorder.clear()
+        assert recorder.events == []
+        machine.read_blocks([(2, 0)])
+        assert [e.addrs for e in recorder.events] == [((2, 0),)]
+
     def test_no_tracer_no_overhead(self, machine):
         machine.read_blocks([(0, 0)])  # must simply work
         assert machine.tracer is None
