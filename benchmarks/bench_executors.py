@@ -18,15 +18,27 @@ is reported: the clock may move, the accounting may not.
 Outputs ``benchmarks/results/BENCH_executors.json`` and
 ``executors.txt``.  Wall values are machine-dependent; the schema and the
 charged counts are fixed.
+
+A second section prices the per-block checksum on the file executor:
+microseconds per charged block read of end-to-end-shaped buckets, with
+no modelled transfer time, with and without ``attach_faults(machine,
+[])`` (checksums on, no faults).  Every file-backed read builds a fresh
+Block, so each one is fingerprinted in full.  The checked-over-plain
+ratio is reported (the target is at most 2x), never gated: it is a wall
+ratio on a shared box.  Outputs ``BENCH_executor_checksums.json`` and
+``executor_checksums.txt``.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 
 from repro.analysis.reporting import render_table
+from repro.pdm.block import payload_fingerprint
 from repro.pdm.executors import create_executor
+from repro.pdm.faults import attach_faults
 from repro.pdm.machine import ParallelDiskMachine
 
 B = 16
@@ -40,6 +52,19 @@ DISK_COUNTS = (4, 8, 16)
 #: the CI gate: parallel file backend vs its own workers=1 mode at D=8
 SPEEDUP_GATE_D = 8
 SPEEDUP_GATE = 2.0
+
+#: checksum section: the end-to-end benchmark's bucket shape (B = 32,
+#: about 16 ``(key, tag, value)`` items) on D = 8 file-backed disks
+CHECKSUM_DISKS = 8
+CHECKSUM_B = 32
+CHECKSUM_ITEMS = 16
+CHECKSUM_BLOCKS_PER_DISK = 16
+#: timed full-stripe read rounds per pass, and alternating passes per
+#: variant (the reported value is the median pass)
+CHECKSUM_ROUNDS = 64
+CHECKSUM_PASSES = 5
+#: ROADMAP item 3's target for the checked-over-plain read ratio
+CHECKSUM_TARGET = 2.0
 
 
 def _build_executor(name, disks, tmp_path):
@@ -179,3 +204,128 @@ def test_executor_scaling(benchmark, save_table, results_dir, tmp_path):
         )
     finally:
         bench_machine.close()
+
+
+# -- the checksum section ------------------------------------------------------
+
+
+def _bucket(disk, index):
+    """An end-to-end-shaped bucket payload: ``(key, tag, value)`` items."""
+    base = (disk * CHECKSUM_BLOCKS_PER_DISK + index) * CHECKSUM_ITEMS
+    return [(base + i, i % 3, base + i) for i in range(CHECKSUM_ITEMS)]
+
+
+def _checksum_machine(tmp_path, checksums):
+    name = "checked" if checksums else "plain"
+    machine = ParallelDiskMachine(
+        CHECKSUM_DISKS, CHECKSUM_B,
+        executor=create_executor("file", directory=str(tmp_path / name)),
+    )
+    if checksums:
+        attach_faults(machine, [])
+    used_bits = CHECKSUM_ITEMS * machine.item_bits
+    machine.write_blocks(
+        ((d, b), _bucket(d, b), used_bits)
+        for d in range(CHECKSUM_DISKS)
+        for b in range(CHECKSUM_BLOCKS_PER_DISK)
+    )
+    machine.read_blocks([(d, 0) for d in range(CHECKSUM_DISKS)])  # warm
+    return machine
+
+
+def _timed_reads(machine):
+    """One pass of full-stripe reads: ``(us per charged block, charged)``."""
+    before = (machine.stats.read_ios, machine.stats.blocks_read)
+    t0 = time.perf_counter_ns()
+    for r in range(CHECKSUM_ROUNDS):
+        machine.read_blocks([
+            (d, (r + d) % CHECKSUM_BLOCKS_PER_DISK)
+            for d in range(CHECKSUM_DISKS)
+        ])
+    elapsed_ns = time.perf_counter_ns() - t0
+    charged = (
+        machine.stats.read_ios - before[0],
+        machine.stats.blocks_read - before[1],
+    )
+    return elapsed_ns / charged[1] / 1e3, charged
+
+
+def _fingerprint_us():
+    """Microseconds per fingerprint of one end-to-end-shaped bucket."""
+    buckets = [
+        _bucket(d, b)
+        for d in range(CHECKSUM_DISKS)
+        for b in range(CHECKSUM_BLOCKS_PER_DISK)
+    ]
+    used_bits = CHECKSUM_ITEMS * 64
+    t0 = time.perf_counter_ns()
+    for _ in range(CHECKSUM_PASSES):
+        for payload in buckets:
+            payload_fingerprint(payload, used_bits)
+    elapsed_ns = time.perf_counter_ns() - t0
+    return elapsed_ns / (CHECKSUM_PASSES * len(buckets)) / 1e3
+
+
+def test_checksum_read_cost(save_table, results_dir, tmp_path):
+    machines = {
+        "plain": _checksum_machine(tmp_path, checksums=False),
+        "checked": _checksum_machine(tmp_path, checksums=True),
+    }
+    try:
+        assert machines["checked"].checksums
+        assert not machines["plain"].checksums
+        per_block = {name: [] for name in machines}
+        charged = {name: set() for name in machines}
+        for _ in range(CHECKSUM_PASSES):  # alternate, so drift hits both
+            for name, machine in machines.items():
+                us, counts = _timed_reads(machine)
+                per_block[name].append(us)
+                charged[name].add(counts)
+    finally:
+        for machine in machines.values():
+            machine.close()
+
+    # Checksums may cost wall time, never charged I/O.
+    assert charged["plain"] == charged["checked"] == {
+        (CHECKSUM_ROUNDS, CHECKSUM_ROUNDS * CHECKSUM_DISKS)
+    }
+    medians = {name: statistics.median(v) for name, v in per_block.items()}
+    ratio = medians["checked"] / medians["plain"]
+    fingerprint_us = _fingerprint_us()
+
+    payload = {
+        "benchmark": "executor_checksums",
+        "config": {
+            "executor": "file",
+            "disks": CHECKSUM_DISKS,
+            "block_items": CHECKSUM_B,
+            "bucket_items": CHECKSUM_ITEMS,
+            "rounds_per_pass": CHECKSUM_ROUNDS,
+            "passes": CHECKSUM_PASSES,
+            "transfer_delay_ns": 0,
+            "target_ratio": CHECKSUM_TARGET,
+        },
+        "us_per_charged_read": {
+            name: round(value, 2) for name, value in medians.items()
+        },
+        "checked_over_plain": round(ratio, 2),
+        "fingerprint_us_per_bucket": round(fingerprint_us, 2),
+        "charged_rounds": CHECKSUM_ROUNDS,
+        "charged_blocks": CHECKSUM_ROUNDS * CHECKSUM_DISKS,
+    }
+    out = results_dir / "BENCH_executor_checksums.json"
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    table = render_table(
+        ["checksums", "us / charged read", "rounds", "blocks"],
+        [
+            [name, round(medians[name], 2), CHECKSUM_ROUNDS,
+             CHECKSUM_ROUNDS * CHECKSUM_DISKS]
+            for name in ("plain", "checked")
+        ],
+    )
+    table += (
+        f"\nchecked_over_plain: {ratio:.2f}x (target <= {CHECKSUM_TARGET}x,"
+        f" not gated)\nfingerprint_us_per_bucket: {fingerprint_us:.2f}"
+    )
+    save_table("executor_checksums", table)

@@ -42,7 +42,9 @@ The frame layout is fixed-endian (``<``) and versioned::
 ``flags`` bit 0 records whether the block carried a seal
 (:attr:`repro.pdm.block.Block.checksum` is ``None`` otherwise); the
 64-bit seal itself rides in the header so verify-on-read above the
-executor sees exactly what the logical block carried.
+executor sees exactly what the logical block carried.  The version is
+bumped whenever the meaning of a field changes (version 2: the seal's
+fingerprint), so a log in an older format fails its open loudly.
 """
 
 from __future__ import annotations
@@ -56,7 +58,11 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.pdm.errors import BlockCorruption, DiskFailure
 
 MAGIC = b"RBLK"
-VERSION = 1
+#: frame format version.  Version 2 changed what the ``checksum`` field
+#: means (the seal is :func:`repro.pdm.block.payload_fingerprint`'s
+#: BLAKE2b, not version 1's ``splitmix64`` fold), so a version-1 log fails
+#: its open instead of reporting every sealed block as corrupt.
+VERSION = 2
 _HEADER = struct.Struct("<4sBBHqqQI")
 HEADER_SIZE = _HEADER.size
 _CRC = struct.Struct("<I")
@@ -227,8 +233,9 @@ class BlockLogFile:
             )
             if magic != MAGIC or version != VERSION:
                 raise BlockCorruption(
-                    f"bad frame magic at offset {offset} of {self.path}; "
-                    f"the log is not recoverable past this point"
+                    f"bad frame magic/version ({magic!r} v{version}, this "
+                    f"build reads v{VERSION}) at offset {offset} of "
+                    f"{self.path}; the log is not recoverable past this point"
                 )
             length = HEADER_SIZE + payload_len + CRC_SIZE
             if offset + length > size:

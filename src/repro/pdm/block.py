@@ -7,14 +7,16 @@ and the block enforces the capacity.  This keeps the simulator honest about
 the space claims of Theorem 6 without forcing every data structure through a
 bit-serialisation layer.
 
-Integrity: a block can carry a *checksum* — a deterministic 64-bit
-fingerprint of its payload (:func:`payload_fingerprint`, built on
-:func:`repro.bits.mix.stable_hash`, so it is identical across processes and
-platforms).  Checksums are maintained by the machine when its ``checksums``
-flag is on: every :meth:`Block.seal` after a write records the fingerprint,
-and verify-on-read (:meth:`Block.verify`) turns *silent* corruption — a
-payload the fault layer scrambled behind the accountant's back — into a
-typed :class:`~repro.pdm.errors.BlockCorruption`.
+Integrity: a block can carry a *checksum* — a 64-bit fingerprint of its
+payload (:func:`payload_fingerprint`: a 64-bit BLAKE2b over one canonical,
+type-tagged byte encoding of ``(used_bits, payload)``).  The encoding depends
+on the payload's value alone — not on object identity, string interning or
+``PYTHONHASHSEED`` — so the fingerprint is identical across processes,
+platforms and a pickle round trip.  Checksums are maintained by the
+machine when its ``checksums`` flag is on: every :meth:`Block.seal` after a
+write records the fingerprint, and verify-on-read (:meth:`Block.verify`)
+turns *silent* corruption — a payload the fault layer scrambled behind the
+accountant's back — into a typed :class:`~repro.pdm.errors.BlockCorruption`.
 
 Verification costs one fingerprint per block *version*, not per read: a
 seal, or a verify that passed, records the :attr:`Block.version` it
@@ -38,17 +40,19 @@ Identical bytes decode to an identical payload, so "an unchanged version
 proves an unchanged payload" still holds; each such Block still starts
 with an empty verify memo.
 
-The fingerprint is exact on ints of up to 64 bits (their residue and
-sign); a wider int folds every byte of its two's complement, so a
-corruption above bit 63 changes it too.
+Ints are encoded without ``str``: an int of up to 64 bits is a sign tag
+and its 8-byte magnitude, and a wider int is a tag, a length and its whole
+two's complement, so a corruption above bit 63 changes the fingerprint too
+and an int of any width fingerprints (``str`` refuses more than 4,300
+digits).
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-from typing import Any, Optional
-
-from repro.bits.mix import splitmix64, stable_hash
+import struct
+from typing import Any, List, Optional
 
 #: process-wide monotonic stamp source for :attr:`Block.version`.  Being
 #: global (not per-block) makes a version globally unique: even when a
@@ -57,47 +61,78 @@ from repro.bits.mix import splitmix64, stable_hash
 _next_version = itertools.count(1).__next__
 
 
-#: domain tag separating a wide int's byte fold from a bytes payload.
-_WIDE_INT = 0x57494445
-
-
 class BlockOverflowError(Exception):
     """Raised when a payload is declared larger than the block capacity."""
 
 
-def _fingerprint_obj(obj: Any, acc: int) -> int:
-    """Fold one payload object into the running fingerprint.
+# -- the canonical fingerprint encoding ---------------------------------------
+#
+# One byte tag per value, so no two differently tagged encodings can be
+# confused; every length and count is 8 little-endian bytes.
+_INT = b"+"  # 0 <= int < 2**64: tag + 8 bytes
+_NEG = b"-"  # -2**64 < int < 0: tag + 8 bytes of its magnitude
+_WIDE = b"W"  # any other int: tag + length + two's complement
+_NONE = b"N"
+_TRUE = b"T"
+_FALSE = b"F"
+_STR = b"s"  # tag + length + UTF-8
+_BYTES = b"b"  # bytes or bytearray: tag + length + the bytes
+_SEQ = b"q"  # list or tuple: tag + count + each element
+_REPR = b"r"  # anything else: tag + length + UTF-8 of its repr
 
-    Handles the payload shapes the simulator stores (None, ints — fields and
-    record fragments included — strings, bytes, bools, and nested
-    lists/tuples of those); anything else is folded through its ``repr``,
-    which is deterministic for every type this repository puts on disk.
+#: ``tag + 8 little-endian bytes``: a small int, or a tag and a length.
+_TAGGED = struct.Struct("<cQ").pack
+_TWO_64 = 1 << 64
+
+
+def _encode(obj: Any, out: List[bytes]) -> None:
+    """Append the canonical encoding of ``obj`` to ``out``.
+
+    The encoding depends on the value only — never on object identity,
+    string interning or the hash seed — so equal payloads built from
+    distinct objects, or unpickled in another process, encode equal.
+    A plain non-negative int below ``2**64`` (most of a bucket) is tested
+    first; ``bool`` is tested before any other ``int`` (it is an ``int``
+    subclass), and an int never passes through ``str`` (which refuses
+    very wide ints).
     """
-    if obj is None:
-        return splitmix64(acc ^ 0x9E3779B97F4A7C15)
-    if isinstance(obj, bool):
-        return splitmix64(acc ^ (0xB0 + int(obj)))
-    if isinstance(obj, int):
-        if obj.bit_length() > 64:
-            # stable_hash keeps only an int's 64-bit residue and sign, so
-            # a wider int folds every byte of its two's complement.
-            wide = obj.to_bytes(obj.bit_length() // 8 + 1, "little", signed=True)
-            return splitmix64(acc ^ stable_hash(wide, seed=_WIDE_INT))
-        return splitmix64(acc ^ stable_hash(obj))
-    if isinstance(obj, (str, bytes, bytearray)):
-        return splitmix64(acc ^ stable_hash(bytes(obj) if not isinstance(obj, str) else obj))
-    if isinstance(obj, (list, tuple)):
-        acc = splitmix64(acc ^ (0x1157 + len(obj)))
+    if type(obj) is int and 0 <= obj < _TWO_64:
+        out.append(_TAGGED(_INT, obj))
+    elif obj is None:
+        out.append(_NONE)
+    elif obj is True:
+        out.append(_TRUE)
+    elif obj is False:
+        out.append(_FALSE)
+    elif isinstance(obj, int):
+        if obj.bit_length() <= 64:
+            out.append(_TAGGED(_INT if obj >= 0 else _NEG, abs(obj)))
+        else:
+            size = obj.bit_length() // 8 + 1
+            out.append(_TAGGED(_WIDE, size) + obj.to_bytes(size, "little", signed=True))
+    elif isinstance(obj, (list, tuple)):
+        out.append(_TAGGED(_SEQ, len(obj)))
         for item in obj:
-            acc = _fingerprint_obj(item, acc)
-        return acc
-    # Any other payload object: a stable repr is part of its contract.
-    return splitmix64(acc ^ stable_hash(repr(obj)))
+            _encode(item, out)
+    elif isinstance(obj, str):
+        data = obj.encode("utf-8", "surrogatepass")
+        out.append(_TAGGED(_STR, len(data)) + data)
+    elif isinstance(obj, (bytes, bytearray)):
+        out.append(_TAGGED(_BYTES, len(obj)) + obj)
+    else:
+        # Any other payload object: a stable repr is part of its contract.
+        data = repr(obj).encode("utf-8", "surrogatepass")
+        out.append(_TAGGED(_REPR, len(data)) + data)
 
 
 def payload_fingerprint(payload: Any, used_bits: int) -> int:
-    """Deterministic 64-bit fingerprint of ``(payload, used_bits)``."""
-    return _fingerprint_obj(payload, splitmix64(used_bits + 0xA0761D6478BD642F))
+    """Deterministic 64-bit fingerprint of ``(payload, used_bits)``: a
+    64-bit BLAKE2b of their canonical encoding."""
+    out: List[bytes] = []
+    _encode(used_bits, out)
+    _encode(payload, out)
+    digest = hashlib.blake2b(b"".join(out), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 class Block:

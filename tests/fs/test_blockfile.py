@@ -22,6 +22,7 @@ from repro.fs.blockfile import (
     CRC_SIZE,
     HEADER_SIZE,
     MAGIC,
+    VERSION,
     BlockLogFile,
     decode_frame,
     encode_frame,
@@ -68,6 +69,15 @@ class TestRoundTrip:
             assert log.block_indices == [0, 1, 2, 3, 4]
             assert log.read_block(2) == (["latest"], 8, None)
             assert log.read_block(4) == ([44], 8, 4)
+
+    def test_reopening_an_older_format_fails_loudly(self, log_path):
+        # A version-1 log sealed with the old fingerprint: reopening it
+        # must fail at open, not report each sealed block as corrupt.
+        with BlockLogFile(log_path) as log:
+            log.append_block(0, [1, 2], 16, 12345)
+        _rewrite(log_path, len(MAGIC), bytes([VERSION - 1]))
+        with pytest.raises(BlockCorruption, match="v1, this build reads v2"):
+            BlockLogFile(log_path)
 
     def test_append_after_reopen_extends(self, log_path):
         with BlockLogFile(log_path) as log:

@@ -108,6 +108,21 @@ def test_client_self_times_partition_each_facade_call():
     assert sum(self_ns.values()) == sum(r[3] - r[2] for r in roots)
 
 
+def test_batch_column_build_and_pool_filter_are_attributed():
+    # The batch lookup builds its key columns with store_columns and
+    # filters through the pool with get_many; neither calls the
+    # single-item store_column / get.
+    facade = small_facade(cache_blocks=8)
+    tracer = layers.LayerTracer()
+    with tracer:
+        facade.batch_lookup(list(range(0, 64, 2)))
+    totals = tracer.totals()
+    assert totals["kernels.store_columns"].calls > 0
+    assert totals["cache.get_many"].calls > 0
+    assert "kernels.store_column" not in totals
+    assert "cache.get" not in totals
+
+
 def test_disk_lane_spans_count_as_busy_time(tmp_path):
     executor = create_executor("file", directory=str(tmp_path / "disks"))
     facade = small_facade(executor=executor)

@@ -1,5 +1,11 @@
 """Unit tests for blocks, disks and internal-memory accounting."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.basic_dict import BasicDictionary
@@ -146,6 +152,81 @@ class TestWideIntFingerprint:
         scrambled.checksum = original.checksum
         assert original.verify()
         assert not scrambled.verify()
+
+
+def _rows(n=16):
+    """An e2e-shaped bucket: ``(key, tag, value)`` tuples."""
+    return [(1000 + 7 * i, i % 3, 5000 + i) for i in range(n)]
+
+
+class TestCanonicalFingerprint:
+    """The fingerprint depends on the payload's value alone.  Each case
+    fails one tempting shortcut: an identity memo (default ``pickle``),
+    interning-sensitive bytes (``marshal``), ``repr``/``str`` of ints, or
+    the per-process ``hash()``."""
+
+    def test_equal_payloads_from_distinct_objects(self):
+        shared = tuple([7, 8, 9])
+        for tail in ([], [None, "x"]):  # the bucket shape, then any shape
+            once = [shared, shared] + tail
+            twice = [tuple([7, 8, 9]), tuple([7, 8, 9])] + tail
+            assert once[0] is once[1] and twice[0] is not twice[1]
+            assert payload_fingerprint(once, 96) == payload_fingerprint(twice, 96)
+
+    def test_interned_and_built_strings_are_equal(self):
+        literal = "ab"
+        built = "".join(["a", "b"])
+        assert built is not literal
+        assert payload_fingerprint([literal, literal], 16) == (
+            payload_fingerprint([built, literal], 16)
+        )
+
+    def test_pickle_round_trip_keeps_the_fingerprint(self):
+        # The file executor stores a pickled frame and rebuilds the
+        # payload from it on every read.
+        shared = (3, "k", None)
+        for payload in (
+            _rows(),
+            [shared, shared, (1 << 80, b"v", True), [-5, bytearray(b"w")]],
+        ):
+            back = pickle.loads(pickle.dumps(payload))
+            assert payload_fingerprint(back, 512) == (
+                payload_fingerprint(payload, 512)
+            )
+
+    @pytest.mark.parametrize(
+        "values",
+        [(None, False, 0), (1, True), (1, "1", b"1")],
+        ids=["none-false-0", "1-true", "1-str-bytes"],
+    )
+    def test_values_that_compare_or_print_alike_differ(self, values):
+        for wrap in (lambda v: v, lambda v: [(v,)], lambda v: [(7, v)]):
+            fps = {payload_fingerprint(wrap(v), 64) for v in values}
+            assert len(fps) == len(values)
+
+    def test_wide_int_needs_no_str(self):
+        wide = (1 << 20_000) | 12345
+        assert payload_fingerprint([(7, 0, wide)], 96) != (
+            payload_fingerprint([(7, 0, wide + 1)], 96)
+        )
+        assert payload_fingerprint(wide, 96) != payload_fingerprint(-wide, 96)
+
+    def test_independent_of_the_hash_seed(self):
+        payload = ["alpha", ("beta", 3), None, b"gamma", [("delta",)]]
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = (
+            "from repro.pdm.block import payload_fingerprint; "
+            f"print(payload_fingerprint({payload!r}, 300))"
+        )
+        values = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True,
+            )
+            values.add(int(done.stdout))
+        assert values == {payload_fingerprint(payload, 300)}
 
 
 class TestFingerprintCounts:
