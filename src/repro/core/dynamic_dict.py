@@ -46,6 +46,7 @@ from repro.core.interface import (
 )
 from repro.core.static_dict import fields_needed
 from repro.pdm.errors import DiskFailure
+from repro.expanders.neighborhoods import NeighborhoodMemo
 from repro.expanders.random_graph import SeededRandomExpander
 from repro.kernels import resolve_kernel
 from repro.pdm.iostats import OpCost
@@ -171,6 +172,10 @@ class DynamicDictionary(Dictionary):
             stripe = max(min_stripe, math.ceil(stripe * ratio))
             level += 1
         self.num_levels = len(self.levels)
+        self._neighborhoods = [
+            NeighborhoodMemo(graph, memory=machine.memory)
+            for graph in self.level_graphs
+        ]
         self.size = 0
         self.stats = OperationStats()
 
@@ -233,7 +238,7 @@ class DynamicDictionary(Dictionary):
         unreadable ``(stripe, j)`` locations to their :class:`IOFault`;
         those locations are absent from ``fields``.
         """
-        locs = self.level_graphs[level].striped_neighbors(key)
+        locs = self._neighborhoods[level].striped(key)
         fields, failures = self.levels[level].read_fields(locs)
         return locs, fields, failures
 
@@ -555,7 +560,7 @@ class DynamicDictionary(Dictionary):
         Returns ``(locs_map, fields, failures)`` where ``fields`` /
         ``failures`` cover the union of all keys' locations.
         """
-        locs_map = self.level_graphs[level].batch_striped(
+        locs_map = self._neighborhoods[level].batch_striped(
             keys, kernel=self._kernel
         )
         wanted = list(
@@ -909,11 +914,14 @@ class DynamicDictionary(Dictionary):
         ) as m:
             writes = {}
             membership_items = {}
+            neighbors = graph.batch_striped(
+                list(result.assignment), kernel=self._kernel
+            )
             for key, stripes in result.assignment.items():
                 encoded = encode_chain(
                     items[key], self.sigma, stripes, self.field_bits
                 )
-                idx = {i: j for (i, j) in graph.striped_neighbors(key)}
+                idx = dict(neighbors[key])
                 for stripe, bits in encoded.items():
                     writes[(stripe, idx[stripe])] = bits
                 membership_items[key] = (0, stripes[0])

@@ -36,6 +36,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.bits import join_record, split_record
 from repro.core.interface import CapacityExceeded, Dictionary, LookupResult
 from repro.core.static_dict import fields_needed
+from repro.expanders.neighborhoods import NeighborhoodMemo
 from repro.expanders.random_graph import SeededRandomExpander
 from repro.pdm.iostats import OpCost, measure
 from repro.pdm.spans import span
@@ -137,6 +138,10 @@ class RecursiveLoadBalancedDictionary(Dictionary):
             self.level_graphs.append(graph)
             self.levels_store.append(store)
             stripe = max(4, math.ceil(stripe * ratio))
+        self._neighborhoods = [
+            NeighborhoodMemo(graph, memory=machine.memory)
+            for graph in self.level_graphs
+        ]
 
         # Brute-force area: one block on each disk of the final group.
         record_bits = key_bits + sigma
@@ -160,7 +165,7 @@ class RecursiveLoadBalancedDictionary(Dictionary):
         addrs = []
         level_locs = []
         for level in range(self.num_levels):
-            locs = self.level_graphs[level].striped_neighbors(key)
+            locs = self._neighborhoods[level].striped(key)
             level_locs.append(locs)
             store = self.levels_store[level]
             for loc in locs:

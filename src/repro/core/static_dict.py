@@ -48,6 +48,7 @@ from repro.core.interface import (
 )
 from repro.pdm.errors import BlockCorruption, DiskFailure
 from repro.expanders.base import StripedExpander
+from repro.expanders.neighborhoods import NeighborhoodMemo
 from repro.expanders.random_graph import SeededRandomExpander
 from repro.kernels import resolve_kernel
 from repro.pdm.iostats import OpCost
@@ -101,22 +102,23 @@ def assign_unique_neighbors(
     """
     if m_need is None:
         m_need = fields_needed(graph.degree)
-    remaining = list(dict.fromkeys(keys))
+    neighbors = graph.batch_striped(list(dict.fromkeys(keys)))
+    remaining = list(neighbors)
+    s = graph.stripe_size
     assignment: Dict[int, Tuple[int, ...]] = {}
     round_sizes: List[int] = []
     rounds = 0
     while remaining and rounds < max_rounds:
         owner: Dict[int, Optional[int]] = {}
         for x in remaining:
-            for y in dict.fromkeys(graph.neighbors(x)):
+            for (i, j) in neighbors[x]:
+                y = i * s + j
                 owner[y] = x if y not in owner else None
         assigned_now: List[int] = []
         still: List[int] = []
         for x in remaining:
             uniq_stripes = [
-                i
-                for (i, j) in graph.striped_neighbors(x)
-                if owner.get(i * graph.stripe_size + j) == x
+                i for (i, j) in neighbors[x] if owner.get(i * s + j) == x
             ]
             if len(uniq_stripes) >= m_need:
                 assignment[x] = tuple(sorted(uniq_stripes)[:m_need])
@@ -251,6 +253,7 @@ class StaticDictionary(Dictionary):
                 seed=seed,
             )
         self.graph = graph
+        self._neighborhoods = NeighborhoodMemo(graph, memory=machine.memory)
 
         keys_sorted = sorted(items)
         for key in keys_sorted:
@@ -389,10 +392,10 @@ class StaticDictionary(Dictionary):
 
     def _stripe_index_map(self) -> Dict[int, Dict[int, int]]:
         """key -> {stripe -> index within stripe} over its neighbors."""
-        out: Dict[int, Dict[int, int]] = {}
-        for key in self.assignment:
-            out[key] = {i: j for (i, j) in self.graph.striped_neighbors(key)}
-        return out
+        neighbors = self.graph.batch_striped(
+            list(self.assignment), kernel=self._kernel
+        )
+        return {key: dict(locs) for key, locs in neighbors.items()}
 
     # -- operations -----------------------------------------------------------------
 
@@ -410,7 +413,7 @@ class StaticDictionary(Dictionary):
             structure="static_dict",
             case="b",
         ) as m:
-            locs = self.graph.striped_neighbors(key)
+            locs = self._neighborhoods.striped(key)
             fields, failures = self.array.read_fields(locs)
             if failures and m.span is not None:
                 m.annotate(degraded=True, failed_fields=len(failures))
@@ -568,7 +571,7 @@ class StaticDictionary(Dictionary):
             if self.array is None:
                 return mem_result
             with span(self.machine, "static_dict.field_read") as m:
-                locs = self.graph.striped_neighbors(key)
+                locs = self._neighborhoods.striped(key)
                 fields, failures = self.array.read_fields(locs)
                 if failures and m.span is not None:
                     m.annotate(degraded=True, failed_fields=len(failures))
@@ -644,7 +647,9 @@ class StaticDictionary(Dictionary):
             case="b",
             batch_size=len(keys),
         ) as m:
-            all_locs = self.graph.batch_striped(keys, kernel=self._kernel)
+            all_locs = self._neighborhoods.batch_striped(
+                keys, kernel=self._kernel
+            )
             wanted = list(
                 dict.fromkeys(loc for locs in all_locs.values() for loc in locs)
             )
@@ -685,7 +690,7 @@ class StaticDictionary(Dictionary):
             if self.array is None:
                 return mem_out, mem_cost
             with span(self.machine, "static_dict.batch_field_read") as m:
-                all_locs = self.graph.batch_striped(
+                all_locs = self._neighborhoods.batch_striped(
                     keys, kernel=self._kernel
                 )
                 wanted = list(

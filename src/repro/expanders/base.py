@@ -135,14 +135,13 @@ class StripedExpander(Expander):
     #
     # The generic forms loop over striped_neighbors, so every striped
     # graph supports batching; seeded graphs with a closed-form neighbor
-    # map override them with one kernel call.  Both forms are value- and
-    # side-effect-identical to the per-key calls they replace (cache
-    # fills, counters) — the batch kernels must never change an answer.
+    # map override them with one kernel call.  Both forms are
+    # value-identical to the per-key calls they replace — the batch
+    # kernels must never change an answer.
 
     def batch_local_indices(self, keys, kernel=None):
         """The local (per-stripe) bucket indices of many keys as one flat
-        ``array('I')`` — ``degree`` entries per key, key-major (the
-        ``NeighborhoodMemo`` layout)."""
+        ``array('I')`` — ``degree`` entries per key, key-major."""
         from array import array
 
         out = array("I")

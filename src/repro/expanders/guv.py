@@ -38,7 +38,7 @@ precisely the state of the art the paper describes.  Evaluation needs
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.expanders.base import StripedExpander
 
@@ -199,7 +199,6 @@ class GUVExpander(StripedExpander):
         n: int,
         m: int,
         h: int,
-        cache_size: int = 1 << 14,
     ):
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
@@ -218,8 +217,6 @@ class GUVExpander(StripedExpander):
         self.degree = p
         self.stripe_size = p**m
         self.right_size = self.degree * self.stripe_size
-        self._cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}  # detlint: guarded(owner-lane) -- idempotent memo of a pure function; recompute races are benign but the lane owns it
-        self._cache_size = cache_size
 
     # -- guarantees ----------------------------------------------------------
 
@@ -254,9 +251,6 @@ class GUVExpander(StripedExpander):
 
     def striped_neighbors(self, x: int) -> Tuple[Tuple[int, int], ...]:
         self._check_left(x)
-        cached = self._cache.get(x)
-        if cached is not None:
-            return cached
         p, m = self.p, self.m
         f = self._decode(x)
         folded: List[Tuple[int, ...]] = [f]
@@ -274,11 +268,7 @@ class GUVExpander(StripedExpander):
                 index += val * power
                 power *= p
             out.append((y, index))
-        result = tuple(out)
-        if len(self._cache) >= self._cache_size:
-            self._cache.clear()
-        self._cache[x] = result
-        return result
+        return tuple(out)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

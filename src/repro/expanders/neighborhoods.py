@@ -5,11 +5,14 @@ splitmix64 mixes per key on the seeded expanders.  The paper's model makes
 this free ("access to certain expander graphs for free"), and the PDM
 grants ``M`` words of internal memory; :class:`NeighborhoodMemo` spends
 some of that memory to make repeated evaluations *actually* free at the
-wall clock: the local bucket indices of each evaluated key land in a flat
-``array('I')`` (``degree`` unsigned ints per key, plus the key's offset —
-``degree + 1`` words, charged against the machine's
-:class:`~repro.pdm.memory.InternalMemory`), and the hot path returns the
-memoized ``(stripe, index)`` tuple without re-mixing.
+wall clock: each evaluated key's ``(stripe, index)`` tuple is kept in one
+dict, charged ``degree + 1`` words (the ``degree`` indices plus the key)
+against the machine's :class:`~repro.pdm.memory.InternalMemory`, and the
+hot path returns the memoized tuple without re-mixing.
+
+A memo is the only cache of a striped graph's ``Γ``: the graphs
+themselves keep none, so every word a dictionary spends on neighborhoods
+shows in the machine's internal-memory peak.
 
 Honesty rules:
 
@@ -21,21 +24,21 @@ Honesty rules:
   correctness requirement, so the dictionary keeps working at the
   uncached speed;
 * at ``max_keys`` the memo resets wholesale (deterministically — no
-  clocks, no randomness), matching the seeded expanders' own overflow
-  policy.
+  clocks, no randomness).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.expanders.base import StripedExpander
 from repro.pdm import InternalMemory, InternalMemoryExceeded
 
-#: default memo bound when internal memory is unbounded (matches the
-#: seeded expanders' own neighbor-cache bound)
+#: default memo bound when internal memory is unbounded
 DEFAULT_MAX_KEYS = 1 << 16
+
+Neighborhood = Tuple[Tuple[int, int], ...]
 
 
 class NeighborhoodMemo:
@@ -47,12 +50,8 @@ class NeighborhoodMemo:
         "memory",
         "max_keys",
         "words_per_key",
-        "hits",
-        "misses",
         "resets",
         "_tuples",
-        "_offsets",
-        "_flat",
         "_charged_words",
         "_frozen",
     )
@@ -74,16 +73,9 @@ class NeighborhoodMemo:
                 free = memory.capacity_words - memory.used_words
                 max_keys = min(max_keys, free // self.words_per_key)
         self.max_keys = max(0, max_keys)
-        self.hits = 0
-        self.misses = 0
         self.resets = 0
-        #: key -> the exact tuple the expander returned (hot-path store)
-        self._tuples: Dict[int, Tuple[Tuple[int, int], ...]] = {}  # detlint: guarded(owner-lane) -- memo + memory charge must stay single-writer; see docs/static_analysis.md
-        #: key -> offset of its ``degree`` local indices in ``_flat``
-        self._offsets: Dict[int, int] = {}  # detlint: guarded(owner-lane) -- indexes _flat; consistent only under the same single writer
-        #: flat local-index store — ``degree`` entries per memoized key, in
-        #: memoization order; the array-shaped view batch planners consume
-        self._flat = array("I")  # detlint: guarded(owner-lane) -- append-only under the owner; readers see a prefix
+        #: key -> the exact tuple the expander returned
+        self._tuples: Dict[int, Neighborhood] = {}  # detlint: guarded(owner-lane) -- memo + memory charge must stay single-writer; see docs/static_analysis.md
         self._charged_words = 0
         self._frozen = self.max_keys == 0
 
@@ -99,119 +91,50 @@ class NeighborhoodMemo:
         """True when internal memory is exhausted and memoization stopped."""
         return self._frozen
 
-    def striped(self, key: int) -> Tuple[Tuple[int, int], ...]:
+    def striped(self, key: int) -> Neighborhood:
         """``graph.striped_neighbors(key)``, memoized."""
         t = self._tuples.get(key)
-        if t is not None:
-            self.hits += 1
-            return t
-        self.misses += 1
-        t = self.graph.striped_neighbors(key)
-        self._memoize(key, t, (j for _, j in t))
+        if t is None:
+            t = self.graph.striped_neighbors(key)
+            if not self._frozen:
+                self._record(key, t)
         return t
-
-    def local_indices(self, key: int) -> array:
-        """The ``degree`` local (per-stripe) bucket indices of ``key`` as a
-        flat ``array('I')`` slice — computed and memoized on demand."""
-        off = self._offsets.get(key)
-        if off is None:
-            self.striped(key)
-            off = self._offsets.get(key)
-            if off is None:  # frozen memo: build the array transiently
-                return array(
-                    "I", (j for _, j in self.graph.striped_neighbors(key))
-                )
-        return self._flat[off : off + self.degree]
 
     # -- batch evaluation --------------------------------------------------
     #
-    # The batch forms are *replays* of the scalar loop against live memo
-    # state: misses are pre-evaluated in one (kernel-accelerated) graph
-    # call, but hits, counters, memory charges, freezes and the wholesale
-    # reset all happen key by key exactly as a sequence of scalar calls
-    # would.  A reset mid-batch can turn a pre-classified hit into a miss;
-    # the replay honors that (the rare re-miss falls back to one scalar
-    # graph evaluation), so memo state after a batch is indistinguishable
-    # from the sequential path.
+    # One graph evaluation covers the whole batch; then every key the memo
+    # does not hold is recorded in key order, so charges, resets and
+    # freezes follow exactly the sequence of per-key striped() calls.
 
     def batch_striped(
         self, keys: Sequence[int], kernel=None
-    ) -> Dict[int, Tuple[Tuple[int, int], ...]]:
-        """:meth:`striped` for many keys — ``{key: striped(key)}`` with
-        one batched graph evaluation for the misses."""
+    ) -> Dict[int, Neighborhood]:
+        """:meth:`striped` for many keys: ``{key: striped(key)}``."""
+        out = self.graph.batch_striped(keys, kernel=kernel)
         tuples = self._tuples
-        missing = [x for x in keys if x not in tuples]
-        evaluated = (
-            self.graph.batch_striped(missing, kernel=kernel)
-            if missing
-            else {}
-        )
-        out: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         for key in keys:
-            t = tuples.get(key)
-            if t is not None:
-                self.hits += 1
-                out[key] = t
-                continue
-            self.misses += 1
-            t = evaluated.get(key)
-            if t is None:  # re-miss after a mid-batch reset
-                t = self.graph.striped_neighbors(key)
-            self._memoize(key, t, (j for _, j in t))
-            out[key] = t
+            if self._frozen:
+                break
+            if key not in tuples:
+                self._record(key, out[key])
         return out
 
     def batch_local_indices(self, keys: Sequence[int], kernel=None) -> array:
         """The local bucket indices of many keys as one flat ``array('I')``
-        (``degree`` entries per key, key-major — the :attr:`_flat` layout).
-
-        Counter/charge/freeze parity with sequential :meth:`striped` calls;
-        frozen memos compute transient chunks without memoizing."""
+        (``degree`` entries per key, key-major), memoizing as
+        :meth:`batch_striped` does."""
+        flat = self.graph.batch_local_indices(keys, kernel=kernel)
         d = self.degree
-        offsets = self._offsets
-        missing = [x for x in keys if x not in offsets]
-        if missing:
-            flat_missing = self.graph.batch_local_indices(
-                missing, kernel=kernel
-            )
-            mpos = {x: i for i, x in enumerate(missing)}
-        else:
-            flat_missing = None
-            mpos = {}
-        out = array("I")
-        flat = self._flat
-        for key in keys:
-            off = offsets.get(key)
-            if off is not None:
-                self.hits += 1
-                out.extend(flat[off : off + d])
-                continue
-            self.misses += 1
-            i = mpos.get(key)
-            if i is None:  # re-miss after a mid-batch reset
-                chunk = array(
-                    "I", (j for _, j in self.graph.striped_neighbors(key))
-                )
-            else:
-                chunk = flat_missing[i * d : (i + 1) * d]
-            out.extend(chunk)
-            self._memoize(key, tuple(enumerate(chunk)), chunk)
-        return out
+        tuples = self._tuples
+        for pos, key in enumerate(keys):
+            if self._frozen:
+                break
+            if key not in tuples:
+                self._record(key, tuple(enumerate(flat[pos * d : pos * d + d])))
+        return flat
 
-    def precompute(self, keys: Iterable[int]) -> int:
-        """Memoize a key set up front (bulk build / bench warm-up);
-        returns how many keys are memoized afterwards."""
-        for key in keys:
-            self.striped(key)
-        return len(self._tuples)
-
-    def _memoize(
-        self, key: int, t: Tuple[Tuple[int, int], ...], local: Iterable[int]
-    ) -> None:
-        """Memoize ``t``; ``local`` is its flat local indices (the batch
-        path passes its ``array('I')`` chunk for one C-level ``extend``)."""
-        if self._frozen:
-            return
+    def _record(self, key: int, t: Neighborhood) -> None:
+        """Memoize ``t`` for a key the (unfrozen) memo does not hold."""
         if len(self._tuples) >= self.max_keys:
             self.reset()
         if self.memory is not None:
@@ -223,33 +146,19 @@ class NeighborhoodMemo:
                 self._frozen = True
                 return
             self._charged_words += self.words_per_key
-        self._offsets[key] = len(self._flat)
-        self._flat.extend(local)
         self._tuples[key] = t
 
     def reset(self) -> None:
         """Deterministic wholesale reset; releases every charged word."""
         self._tuples.clear()
-        self._offsets.clear()
-        del self._flat[:]
         if self.memory is not None and self._charged_words:
             self.memory.release(self._charged_words)
         self._charged_words = 0
         self.resets += 1
         self._frozen = self.max_keys == 0
 
-    def stats(self) -> Dict[str, int]:
-        return {
-            "keys": len(self._tuples),
-            "hits": self.hits,
-            "misses": self.misses,
-            "resets": self.resets,
-            "charged_words": self._charged_words,
-            "frozen": int(self._frozen),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"NeighborhoodMemo({len(self._tuples)}/{self.max_keys} keys, "
-            f"d={self.degree}, hits={self.hits}, misses={self.misses})"
+            f"d={self.degree}, resets={self.resets})"
         )

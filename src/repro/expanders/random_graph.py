@@ -48,7 +48,6 @@ class SeededRandomExpander(StripedExpander):
         degree: int,
         stripe_size: int,
         seed: int = 0,
-        cache_size: int = 1 << 16,
     ):
         if left_size <= 0:
             raise ValueError(f"universe size must be positive, got {left_size}")
@@ -62,32 +61,18 @@ class SeededRandomExpander(StripedExpander):
         self.right_size = degree * stripe_size
         self.seed = seed
         self._base = splitmix64(seed ^ 0xA5A5_A5A5_DEAD_BEEF)
-        self._cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}  # detlint: guarded(owner-lane) -- idempotent memo of a seeded pure function
-        self._cache_size = cache_size
 
     def striped_neighbors(self, x: int) -> Tuple[Tuple[int, int], ...]:
         self._check_left(x)
-        cached = self._cache.get(x)
-        if cached is not None:
-            return cached
         base = self._base + x * self.degree
-        out = tuple(
+        return tuple(
             (i, splitmix64(base + i) % self.stripe_size)
             for i in range(self.degree)
         )
-        if len(self._cache) >= self._cache_size:
-            self._cache.clear()
-        self._cache[x] = out
-        return out
 
     def batch_local_indices(self, keys, kernel=None):
-        """One kernel evaluation of the neighbor map for many keys.
-
-        Bit-identical to the per-key form (same mix, same reduction); the
-        graph's tuple cache is bypassed — the callers that batch
-        (:class:`~repro.expanders.neighborhoods.NeighborhoodMemo`) hold
-        their own memo above this level.
-        """
+        """One kernel evaluation of the neighbor map for many keys,
+        bit-identical to the per-key form (same mix, same reduction)."""
         if kernel is None:
             return super().batch_local_indices(keys)
         for x in keys:
@@ -97,32 +82,16 @@ class SeededRandomExpander(StripedExpander):
         )
 
     def batch_striped(self, keys, kernel=None):
-        """Batched :meth:`striped_neighbors`: cache hits are served as
-        usual, misses are evaluated in one kernel call and cached with the
-        same wholesale-clear overflow policy as the scalar path."""
+        """Batched :meth:`striped_neighbors`: one kernel evaluation for
+        every key."""
         if kernel is None:
             return super().batch_striped(keys)
-        out: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        missing = []
-        cache = self._cache
-        for x in keys:
-            cached = cache.get(x)
-            if cached is not None:
-                out[x] = cached
-            else:
-                out[x] = ()  # placeholder keeps insertion order
-                missing.append(x)
-        if missing:
-            flat = self.batch_local_indices(missing, kernel=kernel)
-            d = self.degree
-            limit = self._cache_size
-            for pos, x in enumerate(missing):
-                t = tuple(enumerate(flat[pos * d : (pos + 1) * d]))
-                if len(cache) >= limit:
-                    cache.clear()
-                cache[x] = t
-                out[x] = t
-        return out
+        flat = self.batch_local_indices(keys, kernel=kernel)
+        d = self.degree
+        return {
+            x: tuple(enumerate(flat[pos * d : pos * d + d]))
+            for pos, x in enumerate(keys)
+        }
 
     def evaluation_memory_words(self) -> int:
         """Words of internal memory the neighbor function needs: O(1)."""

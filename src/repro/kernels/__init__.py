@@ -3,9 +3,8 @@
 The PR 5 wall-clock sweep made single lookups fast; the remaining
 per-*batch* cost was dominated by Python frames — one expander
 evaluation, one hash, one bucket scan per key.  This package computes
-those for a whole batch at once over flat ``array``/``numpy`` lanes (the
-``NeighborhoodMemo`` flat-``array('I')`` design generalized), with the
-charged cost untouched: kernels are pure value-to-value functions, and
+those for a whole batch at once over flat ``array``/``numpy`` lanes, with
+the charged cost untouched: kernels are pure value-to-value functions, and
 every backend is held bit-identical to the scalar reference by the
 property suite in ``tests/kernels``.
 

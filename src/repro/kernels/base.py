@@ -36,8 +36,8 @@ class Kernel:
     """Abstract batch kernel.  All ops are pure functions of their inputs.
 
     ``stripe_local_indices`` always returns a flat ``array('I')`` with
-    ``degree`` entries per key (the ``NeighborhoodMemo`` layout), whatever
-    the backend computes with internally — downstream code sees one type.
+    ``degree`` entries per key, key-major, whatever the backend computes
+    with internally — downstream code sees one type.
     """
 
     name: str = "abstract"
@@ -64,7 +64,7 @@ class Kernel:
         """Deduplicated single-block bucket addresses for a batch probe.
 
         ``locals_flat`` holds ``stripes`` local bucket indices per key
-        (the ``NeighborhoodMemo`` flat layout); position ``k*stripes + i``
+        (``stripe_local_indices``' layout); position ``k*stripes + i``
         maps to block ``(disk_offset + i, bases[i] + local)``.  Returns
         ``(unique_addrs, max_per_disk, inverse)`` where ``unique_addrs``
         keeps first-appearance order (identical across backends — it

@@ -324,8 +324,8 @@ class StripedItemBuckets:
         ]
 
     def probe_plan(self, locals_flat: Sequence[int], kernel):
-        """Kernel probe plan over flat per-stripe bucket indices (the
-        ``NeighborhoodMemo`` layout), at bucket granularity: ``(unique,
+        """Kernel probe plan over flat per-stripe bucket indices
+        (``degree`` per key, key-major), at bucket granularity: ``(unique,
         max_per_disk, inverse)`` from :meth:`repro.kernels.base.Kernel.
         plan_unique_probe`, where ``unique`` holds the first block of each
         distinct bucket in the scalar ``dict.fromkeys`` order and

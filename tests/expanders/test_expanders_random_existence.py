@@ -65,16 +65,7 @@ class TestSeededRandomExpander:
     def test_cache_consistency(self, graph):
         first = graph.striped_neighbors(77)
         again = graph.striped_neighbors(77)
-        assert first is again  # cached object
-
-    def test_cache_eviction_keeps_correctness(self):
-        g = SeededRandomExpander(
-            left_size=100, degree=4, stripe_size=10, seed=1, cache_size=4
-        )
-        reference = {x: g.striped_neighbors(x) for x in range(10)}
-        for x in range(100):
-            g.striped_neighbors(x)
-        assert all(g.striped_neighbors(x) == reference[x] for x in range(10))
+        assert first == again
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
